@@ -109,6 +109,9 @@ int list_passes() {
 
 int main(int argc, char** argv) {
   using namespace bds;
+  // Wall time of the whole run -- parse, pipeline, verify and write -- for
+  // the closing `total time:` line.
+  const Timer timer;
 
   std::string input_path;
   std::string output_path;
@@ -274,7 +277,6 @@ int main(int argc, char** argv) {
     popts.telemetry = telemetry;
   }
 
-  Timer timer;
   net::Network optimized = input;
   opt::PipelineStats pstats;
   // Caller-owned context: after the run, the MapFlowState blackboard entry
@@ -351,27 +353,29 @@ int main(int argc, char** argv) {
     std::cout << "wrote mapped netlist (.gate form) to " << gate_path
               << "\n";
   }
-  std::cout << "total time: " << timer.seconds() << " s\n";
 
   if (do_verify) {
+    const Timer verify_timer;
     const auto cec = verify::check_equivalence(input, final_net);
+    std::string verdict;
     switch (cec.status) {
       case verify::CecStatus::kEquivalent:
-        std::cout << "verify: EQUIVALENT\n";
+        verdict = "EQUIVALENT";
         break;
       case verify::CecStatus::kInequivalent:
-        std::cout << "verify: FAILED on output " << cec.failing_output
-                  << "\n";
-        return 1;
+        verdict = "FAILED on output " + cec.failing_output;
+        break;
       case verify::CecStatus::kAborted:
-        std::cout << "verify: global BDDs too large; falling back to "
-                     "simulation: "
-                  << (verify::random_simulation_equal(input, final_net)
-                          ? "no mismatch found"
-                          : "MISMATCH")
-                  << "\n";
+        verdict = std::string("global BDDs too large; falling back to "
+                              "simulation: ") +
+                  (verify::random_simulation_equal(input, final_net)
+                       ? "no mismatch found"
+                       : "MISMATCH");
         break;
     }
+    std::cout << "verify: " << verdict << " (" << verify_timer.seconds()
+              << " s)\n";
+    if (cec.status == verify::CecStatus::kInequivalent) return 1;
   }
 
   if (!output_path.empty()) {
@@ -379,5 +383,6 @@ int main(int argc, char** argv) {
     net::write_blif(out, final_net);
     std::cout << "wrote " << output_path << "\n";
   }
+  std::cout << "total time: " << timer.seconds() << " s\n";
   return 0;
 }

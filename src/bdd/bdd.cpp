@@ -82,13 +82,15 @@ std::uint64_t cache_hash(std::uint64_t key_lo, std::uint64_t key_hi) {
 
 std::size_t Manager::cache_set_base(std::uint64_t key_lo,
                                     std::uint64_t key_hi) const {
-  // cache_.size() is a power of two >= kCacheInitialEntries, so size()/2
-  // is the (power-of-two) set count and the mask selects a set; << 1 turns
-  // the set index into the index of its MRU way.
+  // cache_.size() is a power of two >= 2, so size()/2 is the
+  // (power-of-two) set count and the mask selects a set; << 1 turns the set
+  // index into the index of its MRU way.
   return (cache_hash(key_lo, key_hi) & (cache_.size() / 2 - 1)) << 1;
 }
 
-Manager::Manager(std::uint32_t num_vars) {
+Manager::Manager(std::uint32_t num_vars, std::size_t cache_entries)
+    : initial_cache_entries_(cache_entries) {
+  check_cache_entries("Manager", cache_entries);
   vars_.reserve(kArenaReserve);
   thens_.reserve(kArenaReserve);
   elses_.reserve(kArenaReserve);
@@ -103,7 +105,7 @@ Manager::Manager(std::uint32_t num_vars) {
   stats_.live_nodes = 1;
   stats_.peak_live_nodes = 1;
   stats_.allocated_nodes = 1;
-  cache_.resize(kCacheInitialEntries);
+  cache_.resize(initial_cache_entries_);
   stats_.cache_entries = cache_.size();
   ensure_vars(num_vars);
   // Publish the pristine footprint immediately (reset() does the same), so
@@ -428,6 +430,12 @@ void Manager::cache_store(CacheOp op, Edge f, Edge g, Edge h, Edge result) {
   set[0].key_lo = key_lo;
   set[0].key_hi = key_hi;
   set[0].result = result;
+}
+
+void Manager::check_cache_entries(const char* op, std::size_t entries) {
+  if (entries < 2 || (entries & (entries - 1)) != 0) {
+    detail::invalid_argument(op, "cache_entries must be a power of two >= 2");
+  }
 }
 
 void Manager::cache_clear() {

@@ -195,8 +195,16 @@ namespace detail {
 /// The BDD manager: owns all nodes, tables and the variable order.
 class Manager {
  public:
-  /// Creates a manager with `num_vars` variables in identity order.
-  explicit Manager(std::uint32_t num_vars = 0);
+  /// Default starting computed-table capacity (entries): the size every
+  /// global manager (partition, verify, sharing) starts from.
+  static constexpr std::size_t kCacheInitialEntries = 1u << 14;
+
+  /// Creates a manager with `num_vars` variables in identity order whose
+  /// computed table starts at `cache_entries` entries (a power of two >= 2;
+  /// aborts otherwise) and grows adaptively from there. Small per-cone
+  /// managers pass a size derived from their cone.
+  explicit Manager(std::uint32_t num_vars = 0,
+                   std::size_t cache_entries = kCacheInitialEntries);
   ~Manager();
 
   Manager(const Manager&) = delete;
@@ -206,14 +214,23 @@ class Manager {
 
   /// Returns the manager to its freshly-constructed (0-variable) state --
   /// the manager-pool primitive: a reset manager replays an operation
-  /// sequence byte-identically to a fresh one, *including* the
+  /// sequence byte-identically to a fresh
+  /// `Manager(0, initial_cache_entries())`, *including* the
   /// capacity-derived memory_bytes gauge, because every buffer is restored
   /// to the constructor's exact footprint (buffers already at that
-  /// footprint are reused in place, so the common recycling path still
-  /// skips the big computed-table allocation). All outstanding `Bdd`
-  /// handles and raw edges are invalidated; the installed budget and
-  /// gauge sampler survive.
-  void reset();
+  /// footprint are reused in place, so the common recycling path skips the
+  /// computed-table allocation). All outstanding `Bdd` handles and raw
+  /// edges are invalidated; the installed budget and gauge sampler survive.
+  void reset() { reset(initial_cache_entries_); }
+  /// reset(), but the manager's starting computed-table size becomes
+  /// `cache_entries` (same precondition as the constructor's): afterwards
+  /// it is indistinguishable from a fresh `Manager(0, cache_entries)`.
+  void reset(std::size_t cache_entries);
+  /// The computed-table capacity this manager started from, and that
+  /// reset() restores.
+  [[nodiscard]] std::size_t initial_cache_entries() const {
+    return initial_cache_entries_;
+  }
 
   /// Writes the whole manager -- variable order, node arena (free slots
   /// included, so every outstanding `Lit` keeps its meaning), reference
@@ -388,9 +405,6 @@ class Manager {
   static constexpr std::uint32_t kNil = 0xffffffffu;
   /// Starting bucket count of a fresh unique subtable (power of two).
   static constexpr std::uint32_t kInitialBuckets = 16;
-  /// Computed-table capacity of a fresh (or reset) manager; grows
-  /// adaptively from here (cache_maybe_grow), never past its ceiling.
-  static constexpr std::size_t kCacheInitialEntries = 1u << 14;
   /// SoA-column slots reserved by the constructor -- and restored exactly
   /// by reset(), so the capacity-derived memory_bytes gauge of a recycled
   /// manager matches a fresh one byte for byte.
@@ -438,6 +452,9 @@ class Manager {
   [[nodiscard]] std::size_t cache_set_base(std::uint64_t key_lo,
                                            std::uint64_t key_hi) const;
   void cache_clear();
+  /// Aborts via detail::invalid_argument unless `entries` is a valid
+  /// starting computed-table size (a power of two >= 2).
+  static void check_cache_entries(const char* op, std::size_t entries);
   /// Doubles the computed table when the recent lookup window ran hot
   /// (CUDD-style adaptive sizing); existing entries are rehashed, not lost.
   void cache_maybe_grow();
@@ -493,6 +510,9 @@ class Manager {
   /// Computed table: power-of-two size, adaptively grown, viewed as
   /// size()/2 sets of two adjacent ways (slot 0 = MRU; cache_set_base()).
   std::vector<CacheEntry> cache_;
+  /// Capacity of a fresh (or reset) manager's table; it grows adaptively
+  /// from here (cache_maybe_grow), never past its ceiling.
+  std::size_t initial_cache_entries_ = kCacheInitialEntries;
   std::size_t cache_lookups_at_resize_ = 0;  ///< Window start (growth policy).
   std::size_t cache_hits_at_resize_ = 0;
   std::size_t gc_threshold_ = 1u << 14;

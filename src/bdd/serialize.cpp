@@ -112,7 +112,9 @@ std::vector<T> read_vec(std::istream& is, Fnv1a& sum, std::uint32_t count) {
 }
 }  // namespace
 
-void Manager::reset() {
+void Manager::reset(std::size_t cache_entries) {
+  check_cache_entries("Manager::reset", cache_entries);
+  initial_cache_entries_ = cache_entries;
   // A reset manager must be indistinguishable from a freshly constructed
   // one -- including the capacity-derived memory_bytes gauge, because the
   // ManagerPool hands reset managers to pipelines whose telemetry traces
@@ -148,13 +150,14 @@ void Manager::reset() {
   // Same size AND capacity as a fresh manager: the adaptive-growth and GC
   // state below is everything that feeds back into operation behavior, so
   // matching a fresh manager's values makes the replay byte-identical.
-  // When the table never grew past its initial size (the common case for
+  // When the table is still at the starting size (the common case for
   // pooled cone-sized managers), assign() reuses the existing allocation;
-  // a grown table is reallocated back down.
-  if (cache_.capacity() > kCacheInitialEntries) {
-    std::vector<CacheEntry>(kCacheInitialEntries).swap(cache_);
+  // a grown table, or one reset to a new starting size, is reallocated to
+  // exactly that size.
+  if (cache_.capacity() != initial_cache_entries_) {
+    std::vector<CacheEntry>(initial_cache_entries_).swap(cache_);
   } else {
-    cache_.assign(kCacheInitialEntries, CacheEntry{});
+    cache_.assign(initial_cache_entries_, CacheEntry{});
   }
   cache_lookups_at_resize_ = 0;
   cache_hits_at_resize_ = 0;

@@ -94,17 +94,25 @@ void substitute_constant(Network& net, NodeId id, std::size_t pos,
 /// Classifies trivial local functions.
 enum class Triviality { kNone, kConst0, kConst1, kBuffer, kInverter };
 
-Triviality classify(const Node& n) {
-  if (n.kind != NodeKind::kLogic) return Triviality::kNone;
-  if (n.func.is_constant_zero()) return Triviality::kConst0;
-  if (n.func.has_full_cube()) return Triviality::kConst1;
+/// A trivial function and, for a buffer or inverter, the fanin position of
+/// its one literal (not necessarily 0: `-0` on two fanins is !fanins[1]).
+struct Trivial {
+  Triviality kind = Triviality::kNone;
+  std::size_t pos = 0;
+};
+
+Trivial classify(const Node& n) {
+  if (n.kind != NodeKind::kLogic) return {};
+  if (n.func.is_constant_zero()) return {Triviality::kConst0};
+  if (n.func.has_full_cube()) return {Triviality::kConst1};
   if (n.func.cube_count() == 1 && n.func.cubes()[0].literal_count() == 1) {
     const Cube& c = n.func.cubes()[0];
     const unsigned v = c.literal_vars()[0];
-    return c.get(v) == Literal::kPos ? Triviality::kBuffer
-                                     : Triviality::kInverter;
+    return {c.get(v) == Literal::kPos ? Triviality::kBuffer
+                                      : Triviality::kInverter,
+            v};
   }
-  return Triviality::kNone;
+  return {};
 }
 
 /// Canonical key for duplicate detection: fanins sorted by id with the SOP
@@ -164,7 +172,7 @@ SweepStats sweep(Network& net) {
 
     for (const NodeId id : order) {
       net.node(id).func.minimize_scc();
-      const Triviality t = classify(net.node(id));
+      const auto [t, lit_pos] = classify(net.node(id));
       if (t == Triviality::kNone) continue;
       if (fanouts[id].empty() && drives_po[id]) continue;  // keep PO drivers
 
@@ -184,12 +192,12 @@ SweepStats sweep(Network& net) {
               substitute_constant(net, consumer, pos, true);
               break;
             case Triviality::kBuffer:
-              substitute_fanin(net, consumer, pos, net.node(id).fanins[0],
-                               false);
+              substitute_fanin(net, consumer, pos,
+                               net.node(id).fanins[lit_pos], false);
               break;
             case Triviality::kInverter:
-              substitute_fanin(net, consumer, pos, net.node(id).fanins[0],
-                               true);
+              substitute_fanin(net, consumer, pos,
+                               net.node(id).fanins[lit_pos], true);
               break;
             case Triviality::kNone:
               break;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <functional>
@@ -47,6 +48,17 @@ void attach_decompose_counters(util::TelemetrySpan& span,
              static_cast<double>(d.generalized_and + d.generalized_or +
                                  d.generalized_xnor));
   span.count("shannon", static_cast<double>(d.shannon));
+}
+
+/// Starting computed-table size of a supernode's private manager: eight
+/// entries per node of its BDD in the partition manager, rounded up to a
+/// power of two and kept within [2^8, the global default]. A pure function
+/// of the cone, so node/byte-ceiling trips -- and the degradations they
+/// cause -- stay deterministic across -j.
+std::size_t cone_cache_entries(std::size_t partition_bdd_size) {
+  constexpr std::size_t kMin = std::size_t{1} << 8;
+  constexpr std::size_t kMax = bdd::Manager::kCacheInitialEntries;
+  return std::clamp(std::bit_ceil(8 * partition_bdd_size), kMin, kMax);
 }
 
 // ---- information-measure variable ordering ---------------------------------
@@ -415,11 +427,21 @@ class BdsDecomposePass final : public Pass {
     // each half's function after its manager): the handle has to die before
     // the manager that owns its nodes. Managers are pool leases, not fresh
     // constructions -- recycled arenas skip the allocation cost a
-    // long-lived daemon would otherwise pay per cone.
+    // long-lived daemon would otherwise pay per cone. A lease ends as soon
+    // as its forest is built (end_lease), so the merge reads only forests
+    // and the live managers are bounded by the executor slots plus the
+    // queue, not by the supernode count.
     struct Item {
       ManagerPool::Lease mgr;
       Bdd func;
       std::uint32_t k = 0;
+      /// Starting computed-table size of this cone's managers (split
+      /// halves inherit it); see cone_cache_entries.
+      std::size_t cache_entries = 0;
+      /// Peak gauges of the item's managers -- [0] the whole supernode,
+      /// [1 + half] a split half -- captured when each lease ends.
+      std::size_t peak_nodes[3] = {0, 0, 0};
+      std::size_t peak_bytes[3] = {0, 0, 0};
       core::FactoringForest forest;
       core::FactId root = core::kNoFact;
       core::DecomposeStats stats;
@@ -568,6 +590,20 @@ class BdsDecomposePass final : public Pass {
           }
         };
 
+    // Ends one of an item's leases (`which`: 0 whole, 1 + half): records
+    // the manager's peak gauges, drops the handle before its manager, and
+    // parks the manager back in the pool.
+    const auto end_lease = [](Item& item, std::size_t which) {
+      ManagerPool::Lease& lease =
+          which == 0 ? item.mgr : item.sub_mgr[which - 1];
+      Bdd& func = which == 0 ? item.func : item.sub_func[which - 1];
+      if (!lease.valid()) return;
+      item.peak_nodes[which] = lease->stats().peak_live_nodes;
+      item.peak_bytes[which] = lease->stats().peak_memory_bytes;
+      func = Bdd();
+      lease.release();
+    };
+
     const auto run_task = [&](Task t, unsigned slot,
                               std::vector<Task>& follow) {
       Item& item = items[t.item];
@@ -593,6 +629,7 @@ class BdsDecomposePass final : public Pass {
                            item.sub_stats[half], rec)) {
           item.sub_failed.store(true, std::memory_order_relaxed);
         }
+        end_lease(item, 1 + half);
         if (span.active()) {
           attach_decompose_counters(span, item.sub_stats[half]);
           span.attr("executor", std::to_string(slot));
@@ -623,7 +660,8 @@ class BdsDecomposePass final : public Pass {
             std::vector<Var> var_map(item.mgr->num_vars(), core::kNoVar);
             for (std::uint32_t v = 0; v < item.k; ++v) var_map[v] = v;
             for (std::size_t half = 0; half < 2; ++half) {
-              item.sub_mgr[half] = ManagerPool::global().acquire(item.k);
+              item.sub_mgr[half] =
+                  ManagerPool::global().acquire(item.k, item.cache_entries);
               item.sub_mgr[half]->set_budget(ctx.budget());
               const bdd::Edge src =
                   half == 0 ? cut->divisor.edge() : cut->quotient.edge();
@@ -664,6 +702,9 @@ class BdsDecomposePass final : public Pass {
                                 item.root, item.stats, rec)) {
         item.degraded = true;
       }
+      // The halves (if any) hold transferred copies; the whole-cone manager
+      // is done either way.
+      end_lease(item, 0);
       if (span.active()) {
         attach_decompose_counters(span, item.stats);
         if (item.degraded) span.count("degraded", 1.0);
@@ -737,8 +778,10 @@ class BdsDecomposePass final : public Pass {
           continue;
         }
         // "BDD mapping": rebuild the supernode function in a compact
-        // manager containing only the used variables (Section IV-B).
-        item.mgr = ManagerPool::global().acquire(item.k);
+        // manager containing only the used variables (Section IV-B), its
+        // computed table sized from the cone.
+        item.cache_entries = cone_cache_entries(sn.func.size());
+        item.mgr = ManagerPool::global().acquire(item.k, item.cache_entries);
         // The node/byte ceilings are per manager, and each private manager
         // performs the same operation sequence at any -j, so budget trips
         // -- and therefore degradations -- are deterministic across -j.
@@ -907,22 +950,12 @@ class BdsDecomposePass final : public Pass {
         st.roots.push_back(
             item.forest.copy_into(st.forest, item.root, leaf_map));
       }
-      for (ManagerPool::Lease* lease :
-           {&item.mgr, &item.sub_mgr[0], &item.sub_mgr[1]}) {
-        if (lease->valid()) {
-          st.peak_local_nodes = std::max(st.peak_local_nodes,
-                                         (**lease).stats().peak_live_nodes);
-          st.peak_local_bytes = std::max(st.peak_local_bytes,
-                                         (**lease).stats().peak_memory_bytes);
-        }
+      for (std::size_t which = 0; which < 3; ++which) {
+        st.peak_local_nodes =
+            std::max(st.peak_local_nodes, item.peak_nodes[which]);
+        st.peak_local_bytes =
+            std::max(st.peak_local_bytes, item.peak_bytes[which]);
       }
-      // Handles die before their owning managers go back to the pool.
-      item.func = Bdd();
-      item.sub_func[0] = Bdd();
-      item.sub_func[1] = Bdd();
-      item.mgr.release();
-      item.sub_mgr[0].release();
-      item.sub_mgr[1].release();
       item.forest = core::FactoringForest();
       item.sub_forest[0] = core::FactoringForest();
       item.sub_forest[1] = core::FactoringForest();

@@ -1,5 +1,8 @@
 #include "opt/manager_pool.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace bds::opt {
 
 void ManagerPool::Lease::release() {
@@ -15,20 +18,30 @@ void ManagerPool::Lease::release() {
   mgr_ = nullptr;
 }
 
-ManagerPool::Lease ManagerPool::acquire(std::uint32_t num_vars) {
+ManagerPool::Lease ManagerPool::acquire(std::uint32_t num_vars,
+                                       std::size_t cache_entries) {
   std::unique_ptr<bdd::Manager> mgr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!idle_.empty()) {
-      mgr = std::move(idle_.back());
-      idle_.pop_back();
+      // Most recently parked manager of the requested size, else the most
+      // recently parked one (resized below).
+      auto it = std::find_if(idle_.rbegin(), idle_.rend(), [&](const auto& m) {
+        return m->initial_cache_entries() == cache_entries;
+      });
+      if (it == idle_.rend()) it = idle_.rbegin();
+      mgr = std::move(*it);
+      idle_.erase(std::next(it).base());
     } else {
       ++constructed_;
     }
   }
   if (mgr == nullptr) {
-    mgr = std::make_unique<bdd::Manager>(num_vars);
+    mgr = std::make_unique<bdd::Manager>(num_vars, cache_entries);
   } else {
+    if (mgr->initial_cache_entries() != cache_entries) {
+      mgr->reset(cache_entries);
+    }
     mgr->ensure_vars(num_vars);  // reset() left it at 0 vars
   }
   return Lease(this, std::move(mgr));

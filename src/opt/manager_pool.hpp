@@ -12,7 +12,9 @@
 // emitted network, no budget decision, and no telemetry byte. What a
 // recycled manager still saves is the object construction and, in the
 // common case, the computed-table allocation (reset() reuses that buffer
-// when the table never grew).
+// when the table never grew). Each manager keeps its own starting
+// computed-table size (bdd::Manager::initial_cache_entries), so cone-sized
+// and default-sized managers share one pool.
 //
 // Thread-safety: acquire() and release are mutex-guarded, so leases may be
 // taken and dropped from any thread; the leased manager itself is as
@@ -74,9 +76,14 @@ class ManagerPool {
     std::unique_ptr<bdd::Manager> mgr_;
   };
 
-  /// A manager with at least `num_vars` variables (identity order -- the
-  /// state a fresh Manager(num_vars) starts in).
-  [[nodiscard]] Lease acquire(std::uint32_t num_vars);
+  /// A manager indistinguishable from a fresh
+  /// `Manager(num_vars, cache_entries)`: identity order, that starting
+  /// computed-table size and the matching memory_bytes gauge. An idle
+  /// manager already at `cache_entries` is preferred; any other is reset
+  /// to the requested size, which reallocates only its table.
+  [[nodiscard]] Lease acquire(
+      std::uint32_t num_vars,
+      std::size_t cache_entries = bdd::Manager::kCacheInitialEntries);
 
   /// Managers currently parked in the pool (diagnostics/tests).
   [[nodiscard]] std::size_t idle() const;

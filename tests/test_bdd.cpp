@@ -417,6 +417,63 @@ TEST(BddCache, TableGrowsUnderSustainedHitTraffic) {
   EXPECT_GT(st.cache_hits, 100'000u);
 }
 
+TEST(BddCache, SmallStartingTableGrowsAndResetRestoresIt) {
+  // A per-instance starting size: the same adaptive growth from 2^8, and
+  // reset() returns to 2^8 (not the class default) with the footprint of
+  // a fresh manager of that size.
+  constexpr std::size_t kSmall = std::size_t{1} << 8;
+  Manager mgr(8, kSmall);
+  EXPECT_EQ(mgr.initial_cache_entries(), kSmall);
+  const ManagerStats& st = mgr.stats();
+  EXPECT_EQ(st.cache_entries, kSmall);
+  Rng rng(41);
+  {
+    const Bdd a = from_table(mgr, TruthTable::random(8, rng));
+    const Bdd b = from_table(mgr, TruthTable::random(8, rng));
+    for (int i = 0; i < 20'000; ++i) {
+      (void)mgr.and_(a.edge(), b.edge());
+    }
+  }
+  EXPECT_GT(st.cache_entries, kSmall);
+  EXPECT_GE(st.cache_resizes, 1u);
+  EXPECT_GT(st.cache_hits, 10'000u);
+
+  mgr.reset();
+  mgr.ensure_vars(8);
+  const Manager fresh(8, kSmall);
+  EXPECT_EQ(mgr.initial_cache_entries(), kSmall);
+  EXPECT_EQ(mgr.stats().cache_entries, kSmall);
+  EXPECT_EQ(mgr.stats().memory_bytes, fresh.stats().memory_bytes);
+  EXPECT_LT(fresh.stats().memory_bytes, Manager(8).stats().memory_bytes);
+
+  // reset(n) adopts a new starting size that later resets keep.
+  mgr.reset(Manager::kCacheInitialEntries);
+  mgr.ensure_vars(8);
+  EXPECT_EQ(mgr.stats().cache_entries, Manager::kCacheInitialEntries);
+  EXPECT_EQ(mgr.stats().memory_bytes, Manager(8).stats().memory_bytes);
+  mgr.reset();
+  EXPECT_EQ(mgr.initial_cache_entries(), Manager::kCacheInitialEntries);
+}
+
+TEST(BddCache, DefaultStartingSizeIsUnchanged) {
+  const Manager mgr(4);
+  EXPECT_EQ(mgr.initial_cache_entries(), Manager::kCacheInitialEntries);
+  EXPECT_EQ(mgr.stats().cache_entries, std::size_t{1} << 14);
+}
+
+using BddCacheDeathTest = ::testing::Test;
+
+TEST(BddCacheDeathTest, StartingSizeMustBeAPowerOfTwo) {
+  EXPECT_DEATH({ const Manager mgr(2, 100); }, "power of two");
+  EXPECT_DEATH({ const Manager mgr(2, 1); }, "power of two");
+  EXPECT_DEATH(
+      {
+        Manager mgr(2);
+        mgr.reset(3);
+      },
+      "power of two");
+}
+
 // ---- empty-handle guard (always on, PR 2) -----------------------------------
 
 using BddHandleDeathTest = ::testing::Test;

@@ -5,6 +5,7 @@
 // -j1 -- it is the same network, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "opt/bds_passes.hpp"
 #include "opt/flows.hpp"
 #include "opt/manager.hpp"
+#include "opt/manager_pool.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/cec.hpp"
 
@@ -224,6 +226,20 @@ TEST(ParallelDecompose, IdleWorkersAreAccountedNotZeroedIntoBusyMin) {
     EXPECT_GT(dec.counter("par_seconds_min"), 0.0);
   }
   EXPECT_GE(dec.counter("par_seconds_max"), dec.counter("par_seconds_min"));
+}
+
+TEST(ParallelDecompose, ConeLeasesEndBeforeTheMerge) {
+  // Each per-cone manager goes back to the pool as soon as its forest is
+  // built, so a serial run never holds more than a couple at once and the
+  // pool stays small -- not one parked manager per supernode.
+  net::Network net = gen::ripple_adder(64);
+  PassContext ctx;
+  PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
+  ASSERT_GE(ctx.state<BdsFlowState>().part.supernodes.size(), 100u);
+  const std::size_t idle_before = ManagerPool::global().idle();
+  PassManager::from_script("bds_decompose -j 1").run(net, {}, ctx);
+  EXPECT_LE(ManagerPool::global().idle(),
+            std::max<std::size_t>(idle_before, 2));
 }
 
 TEST(ParallelDecompose, MissingPartitionVariableIsDiagnosed) {

@@ -297,6 +297,49 @@ TEST(ManagerPool, RecycledManagerIsIndistinguishableFromFresh) {
   EXPECT_FALSE(lease.valid());
   lease.release();
   EXPECT_EQ(pool.idle(), 1u);
+
+  // Alternating starting sizes: every lease matches a fresh
+  // Manager(n, entries) in table size and capacity-derived footprint,
+  // whichever size the recycled manager last had.
+  constexpr std::size_t kSmall = std::size_t{1} << 8;
+  constexpr std::size_t kDefault = bdd::Manager::kCacheInitialEntries;
+  for (const std::size_t entries : {kSmall, kDefault, kSmall, kDefault}) {
+    ManagerPool::Lease sized = pool.acquire(6, entries);
+    const bdd::Manager fresh(6, entries);
+    EXPECT_EQ(sized->initial_cache_entries(), entries);
+    EXPECT_EQ(sized->stats().cache_entries, fresh.stats().cache_entries);
+    EXPECT_EQ(sized->stats().memory_bytes, fresh.stats().memory_bytes);
+    EXPECT_EQ(sized->live_nodes(), 1u);
+    // Leave it grown: the next lease must see none of this.
+    Bdd f = sized->one();
+    for (bdd::Var v = 0; v < 6; ++v) f = f ^ sized->var(v);
+  }
+  EXPECT_EQ(pool.constructed(), baseline + 1);  // one manager, resized
+}
+
+TEST(ManagerPool, PrefersAnIdleManagerOfTheRequestedSize) {
+  constexpr std::size_t kSmall = std::size_t{1} << 8;
+  ManagerPool pool;
+  const bdd::Manager* small_mgr = nullptr;
+  const bdd::Manager* big_mgr = nullptr;
+  {
+    ManagerPool::Lease small = pool.acquire(3, kSmall);
+    ManagerPool::Lease big = pool.acquire(3);
+    small_mgr = small.get();
+    big_mgr = big.get();
+  }
+  // Parked most recent last: whichever size is asked for first, each
+  // request gets the manager already at its size, not the last parked one.
+  for (int round = 0; round < 3; ++round) {
+    ManagerPool::Lease big = pool.acquire(3);
+    ManagerPool::Lease small = pool.acquire(3, kSmall);
+    EXPECT_EQ(big.get(), big_mgr);
+    EXPECT_EQ(small.get(), small_mgr);
+    EXPECT_EQ(small->stats().cache_entries, kSmall);
+    EXPECT_EQ(big->stats().cache_entries, bdd::Manager::kCacheInitialEntries);
+    if (round == 1) big.release();  // vary the parking order
+  }
+  EXPECT_EQ(pool.constructed(), 2u);
 }
 
 }  // namespace

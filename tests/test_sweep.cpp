@@ -2,7 +2,9 @@
 // duplicate-node merging; semantics must always be preserved.
 #include <gtest/gtest.h>
 
+#include "gen/gen.hpp"
 #include "net/network.hpp"
+#include "util/rng.hpp"
 
 namespace bds::net {
 namespace {
@@ -47,6 +49,20 @@ void expect_equivalent(const Network& a, const Network& b) {
   ASSERT_EQ(a.num_outputs(), b.num_outputs());
   for (const auto& row : all_inputs(a.num_inputs())) {
     EXPECT_EQ(a.eval(row), b.eval(row));
+  }
+}
+
+/// Equivalence on `rows` random input vectors (for networks too wide to
+/// enumerate).
+void expect_equivalent_sampled(const Network& a, const Network& b,
+                               std::size_t rows) {
+  ASSERT_EQ(a.num_inputs(), b.num_inputs());
+  ASSERT_EQ(a.num_outputs(), b.num_outputs());
+  Rng rng(7);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<bool> row(a.num_inputs());
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] = (rng.next() & 1) != 0;
+    ASSERT_EQ(a.eval(row), b.eval(row)) << "input row " << r;
   }
 }
 
@@ -138,6 +154,51 @@ TEST(Sweep, MergedDuplicateCollapsesConsumersToBuffer) {
   expect_equivalent(before, net);
   // After merging, top = or(g1, g1) = buffer(g1) which also collapses.
   EXPECT_LE(net.num_logic_nodes(), 2u);
+}
+
+TEST(Sweep, InverterOnSecondFaninSubstitutesThatFanin) {
+  // g = .names a b with cube `-0`: a single literal, but on fanin 1, so g
+  // is !b -- collapsing it into top must substitute b, not a.
+  Network net;
+  const NodeId a = net.add_input("a");
+  const NodeId b = net.add_input("b");
+  const NodeId c = net.add_input("c");
+  Sop not_b(2);
+  not_b.add_cube(Cube::parse("-0"));
+  const NodeId g = net.add_node("g", {a, b}, not_b);
+  const NodeId top = net.add_node("top", {g, c}, and2());
+  net.set_output("o", top);
+  const Network before = net;
+  const SweepStats stats = sweep(net);
+  EXPECT_GE(stats.trivial_collapsed, 1u);
+  expect_equivalent(before, net);
+}
+
+TEST(Sweep, BufferOnSecondFaninSubstitutesThatFanin) {
+  Network net;
+  const NodeId a = net.add_input("a");
+  const NodeId b = net.add_input("b");
+  const NodeId c = net.add_input("c");
+  Sop buf_b(2);
+  buf_b.add_cube(Cube::parse("-1"));
+  const NodeId g = net.add_node("g", {a, b}, buf_b);
+  const NodeId top = net.add_node("top", {g, c}, or2());
+  net.set_output("o", top);
+  const Network before = net;
+  sweep(net);
+  expect_equivalent(before, net);
+}
+
+TEST(Sweep, PreservesGeneratedCircuitRoundTrippedThroughBlif) {
+  // Written and parsed back, this generator circuit carries a two-fanin
+  // node whose only cube is `-0` (g237 = !g58) feeding output f9.
+  const Network gen = gen::random_multilevel(26, 13, 19, 15, 411503822);
+  Network net = parse_blif_string(to_blif_string(gen));
+  const Network before = net;
+  sweep(net);
+  EXPECT_TRUE(net.check());
+  expect_equivalent_sampled(before, net, 4096);
+  expect_equivalent_sampled(gen, net, 4096);
 }
 
 TEST(Sweep, KeepsTrivialPrimaryOutputDrivers) {
