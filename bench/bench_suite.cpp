@@ -27,26 +27,21 @@
 // request path in-process (Server::handle(), no socket) over a repeated
 // family workload: the cold batch pays reorder+decompose, the warm batch
 // is served from the content-addressed result cache and must come back
-// byte-identical at >= 2x. A `parallel_overlap` section measures the
-// overlapped producer/consumer decompose pipeline with -split work
-// stealing engaged: aggregate -j1 vs -j4 decompose time over the
-// adder/shifter/multiplier families, byte-comparing every run and
-// recording the (deterministic) split count and the (execution-dependent)
-// steal count. An `overload` section floods a real socket-backed daemon at
-// 4x its executor count twice -- once behind the bounded admission queue,
-// once with the queue ceiling effectively removed -- and records the p99
-// latency of admitted requests on both sides plus the cost of every shed:
-// admission must keep the admitted p99 below the unbounded baseline's
-// while answering each shed in well under 10ms, with every admitted result
-// byte-identical. A `mapping` section runs every family through the
-// bds / rugged / mini-SIS scripts with the reserved `map` parameter bound
-// to the embedded MCNC-like library -- the exact pipeline `optimize_blif
-// -map` and the daemon build -- recording pre-map literals and mapped
-// area/delay from the pass counters, plus a bds 4-LUT covering point and
-// the Popel information-measure ordering point; every mapped netlist is
-// equivalence-checked. Emits one JSON report (default BENCH_pr10.json)
-// that CI uploads as an artifact, so manager regressions show up as a diff
-// in the numbers, not an anecdote. `hardware_concurrency` is recorded
+// byte-identical at >= 2x. An `overload` section floods a real
+// socket-backed daemon at 4x its executor count twice -- once behind the
+// bounded admission queue, once with the queue ceiling effectively
+// removed -- and records the p99 latency of admitted requests on both
+// sides plus the cost of every shed: admission must keep the admitted p99
+// below the unbounded baseline's while answering each shed in well under
+// 10ms, with every admitted result byte-identical. A `mapping` section
+// runs every family through the bds / rugged / mini-SIS scripts with the
+// reserved `map` parameter bound to the embedded MCNC-like library -- the
+// exact pipeline `optimize_blif -map` and the daemon build -- recording
+// pre-map literals and mapped area/delay from the pass counters, plus a
+// bds 4-LUT covering point; every mapped netlist is equivalence-checked.
+// Emits one JSON report (default BENCH_pr10.json) that CI uploads as an
+// artifact, so manager regressions show up as a diff in the numbers, not
+// an anecdote. `hardware_concurrency` is recorded
 // alongside: parallel speedups are only meaningful where the host actually
 // has the cores.
 //
@@ -488,65 +483,6 @@ ParallelBenchResult run_parallel_bench(const Network& input,
       }
     }
     r.points.push_back(p);
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Overlapped pipeline with dominator splits: the PR-8 restructuring streams
-// transfers into the consumers while earlier supernodes already decompose,
-// and halves supernodes above -split at a generalized-dominator cut so idle
-// workers can steal the halves. Measured as aggregate decompose time over
-// several families at -j1 vs -j4 with the same -split, byte-comparing every
-// run. On a 1-core host the speedup is nominal (see hardware_concurrency in
-// the report); CI regenerates this file on multi-vCPU runners.
-
-struct OverlapFamily {
-  std::string circuit;
-  std::size_t supernodes = 0;
-  double serial_seconds = 0.0;    ///< -j1, best of reps
-  double parallel_seconds = 0.0;  ///< -jN, best of reps
-  double splits = 0.0;            ///< deterministic split count
-  double steals = 0.0;            ///< from the best parallel run
-  bool deterministic = true;      ///< every run emitted identical BLIF
-};
-
-OverlapFamily run_overlap_family(const Network& input,
-                                 const std::string& circuit, unsigned jobs,
-                                 std::size_t split_threshold, int reps) {
-  OverlapFamily r;
-  r.circuit = circuit;
-  std::string reference_blif;
-  for (const unsigned j : {1u, jobs}) {
-    bds::core::BdsOptions opts;
-    opts.jobs = j;
-    opts.split_threshold = split_threshold;
-    const std::string script = bds::opt::default_bds_script(opts);
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-      Network net = input;
-      bds::opt::PassManager pm = bds::opt::PassManager::from_script(script);
-      const bds::opt::PipelineStats ps = pm.run(net);
-      for (const bds::opt::PassStats& pass : ps.passes) {
-        if (pass.name != "bds_decompose") continue;
-        if (rep == 0 || pass.seconds < best) {
-          best = pass.seconds;
-          if (j != 1) r.steals = pass.counter("steals");
-        }
-        if (rep == 0 && j == 1) {
-          r.splits = pass.counter("splits");
-          r.supernodes = static_cast<std::size_t>(ps.counter("supernodes"));
-        }
-      }
-      std::ostringstream blif;
-      bds::net::write_blif(blif, net);
-      if (reference_blif.empty()) {
-        reference_blif = blif.str();
-      } else if (blif.str() != reference_blif) {
-        r.deterministic = false;
-      }
-    }
-    (j == 1 ? r.serial_seconds : r.parallel_seconds) = best;
   }
   return r;
 }
@@ -1213,72 +1149,6 @@ int main(int argc, char** argv) {
     all_ok = false;
   }
 
-  // -- Overlapped pipeline with dominator splits ----------------------------
-  std::cout << "== overlapped pipeline (-split work stealing) ==\n";
-  {
-    const unsigned overlap_jobs = 4;
-    const std::size_t split_threshold = 12;
-    std::vector<std::pair<std::string, const Network*>> overlap_inputs;
-    for (const Family& f : families) {
-      if (f.name == "add32" || f.name == "bshift32" || f.name == "mult8") {
-        overlap_inputs.emplace_back(f.generator, &f.net);
-      }
-    }
-    double agg_serial = 0.0;
-    double agg_parallel = 0.0;
-    double agg_splits = 0.0;
-    bool overlap_ok = true;
-    json.open("parallel_overlap");
-    json.field("jobs", overlap_jobs);
-    json.field("split_threshold", split_threshold);
-    json.open_list("families");
-    for (const auto& [name, net] : overlap_inputs) {
-      const OverlapFamily of = run_overlap_family(
-          *net, name, overlap_jobs, split_threshold, quick ? 1 : 3);
-      agg_serial += of.serial_seconds;
-      agg_parallel += of.parallel_seconds;
-      agg_splits += of.splits;
-      overlap_ok = overlap_ok && of.deterministic;
-      const double speedup = of.parallel_seconds > 0
-                                 ? of.serial_seconds / of.parallel_seconds
-                                 : 0.0;
-      json.open();
-      json.field("circuit", of.circuit);
-      json.field("supernodes", of.supernodes);
-      json.field("serial_seconds", of.serial_seconds);
-      json.field("parallel_seconds", of.parallel_seconds);
-      json.field("speedup", speedup);
-      json.field("splits", of.splits);
-      json.field("steals", of.steals);
-      json.field("deterministic", of.deterministic);
-      json.close();
-      std::cout << "  " << of.circuit << ": -j1 " << std::fixed
-                << std::setprecision(3) << of.serial_seconds << "s  -j"
-                << overlap_jobs << " " << of.parallel_seconds << "s  speedup "
-                << std::setprecision(2) << speedup << "x  splits "
-                << std::setprecision(0) << of.splits << "  steals "
-                << of.steals
-                << (of.deterministic ? "" : "  NOT DETERMINISTIC!") << "\n";
-    }
-    json.close_list();
-    const double agg_speedup =
-        agg_parallel > 0 ? agg_serial / agg_parallel : 0.0;
-    json.field("aggregate_serial_seconds", agg_serial);
-    json.field("aggregate_parallel_seconds", agg_parallel);
-    json.field("aggregate_speedup", agg_speedup);
-    json.field("aggregate_splits", agg_splits);
-    json.field("deterministic", overlap_ok);
-    json.close();
-    std::cout << "  aggregate: -j1 " << std::fixed << std::setprecision(3)
-              << agg_serial << "s  -j" << overlap_jobs << " " << agg_parallel
-              << "s  speedup " << std::setprecision(2) << agg_speedup
-              << "x\n";
-    if (!overlap_ok) {
-      std::cerr << "bench_suite: overlapped pipeline was NOT deterministic\n";
-      all_ok = false;
-    }
-  }
-
   // -- Resource-budget overhead and forced degradation ----------------------
   std::cout << "== resource budget ==\n";
   const BudgetBenchResult bb = run_budget_bench(quick ? 1 : 3);
@@ -1484,8 +1354,7 @@ int main(int argc, char** argv) {
   // The paper-reproduction numbers: every family through bds vs rugged vs
   // mini-SIS, each followed by gate mapping onto the embedded MCNC-like
   // library via the reserved `map` parameter, plus a bds k-LUT covering
-  // point (`lut_k=4`) and the Popel information-measure ordering point
-  // (`reorder=info`) measured through the same counter path. These rows
+  // point (`lut_k=4`) measured through the same counter path. These rows
   // feed the EXPERIMENTS.md "Paper reproduction" table.
   std::cout << "== technology mapping ==\n";
   json.open_list("mapping");
@@ -1536,29 +1405,6 @@ int main(int argc, char** argv) {
                 << std::setw(6)
                 << static_cast<unsigned>(mr.lut_count) << "  depth "
                 << std::setw(3) << static_cast<unsigned>(mr.lut_depth)
-                << (mr.equivalent ? "" : "  NOT EQUIVALENT!") << "\n";
-    }
-    {
-      const MappedFlowResult mr = run_mapped_flow(
-          fam.net, "bds", {{"reorder", "info"}, {"map", "mcnc"}});
-      json.open("bds_info_reorder");
-      json.field("seconds", mr.seconds);
-      json.field("literals_premap", mr.literals_premap);
-      json.field("mapped_area", mr.mapped_area);
-      json.field("mapped_delay", mr.mapped_delay);
-      json.field("equivalent", mr.equivalent);
-      json.close();
-      if (!mr.equivalent) {
-        all_ok = false;
-        std::cerr << "bench_suite: " << fam.name
-                  << "/bds info-reorder netlist is NOT equivalent\n";
-      }
-      std::cout << "  " << std::left << std::setw(12) << fam.name
-                << std::right << std::setw(8) << "info" << "  lits "
-                << std::setw(6) << mr.literals_premap << "  area "
-                << std::setw(7) << std::fixed << std::setprecision(1)
-                << mr.mapped_area << "  delay " << std::setw(5)
-                << std::setprecision(2) << mr.mapped_delay
                 << (mr.equivalent ? "" : "  NOT EQUIVALENT!") << "\n";
     }
     json.close();

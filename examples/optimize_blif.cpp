@@ -82,10 +82,9 @@ constexpr const char* kDemo = R"(
 
 int usage() {
   std::cerr << "usage: optimize_blif [input.blif] [-o out.blif] "
-               "[-gates out_mapped.blif] [-flow bds|sis] [-split N] "
-               "[-reorder sift|info|none] "
-               "[-nomap] [-noverify] [-stats] [-trace] [-profile] "
-               "[-trace-json FILE] [-list-passes]\n"
+               "[-gates out_mapped.blif] [-flow bds|sis] [-nomap] [-noverify] "
+               "[-stats] [-trace] [-profile] [-trace-json FILE] "
+               "[-list-passes]\n"
                "shared request options (also bds-client / the bdsd wire "
                "protocol):\n"
             << bds::opt::RequestOptions::cli_help();
@@ -117,8 +116,6 @@ int main(int argc, char** argv) {
   std::string output_path;
   std::string gate_path;
   std::string flow = "bds";
-  std::string split;
-  std::string reorder;
   bool do_map = true;
   bool do_verify = true;
   bool show_stats = false;
@@ -141,10 +138,6 @@ int main(int argc, char** argv) {
         gate_path = argv[++i];
       } else if (arg == "-flow" && i + 1 < argc) {
         flow = argv[++i];
-      } else if (arg == "-split" && i + 1 < argc) {
-        split = argv[++i];
-      } else if (arg == "-reorder" && i + 1 < argc) {
-        reorder = argv[++i];
       } else if (arg == "-nomap") {
         do_map = false;
       } else if (arg == "-noverify") {
@@ -194,9 +187,7 @@ int main(int argc, char** argv) {
   // declared by the "bds" script (routed to bds_decompose -j), the budget
   // keys are reserved pipeline parameters consumed by the PassManager,
   // and `map`/`lut_k` append the mapping stage.
-  opt::ScriptParams params = ro.to_script_params();
-  if (!split.empty()) params.emplace_back("split", split);
-  if (!reorder.empty()) params.emplace_back("reorder", reorder);
+  const opt::ScriptParams params = ro.to_script_params();
 
   net::Network input;
   try {

@@ -30,10 +30,6 @@ struct BdsOptions {
   /// Decompose worker threads: 1 = serial, 0 = use hardware concurrency.
   /// Results are bit-identical for every worker count.
   unsigned jobs = 1;
-  /// Split a supernode whose BDD has at least this many nodes at a
-  /// balanced generalized-dominator cut into two independently decomposable
-  /// halves (recombined as one AND at merge). 0 = never split.
-  std::size_t split_threshold = 0;
   EliminateOptions eliminate;
   DecomposeOptions decompose;
 };

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <functional>
 
-#include "core/cuts.hpp"
-
 namespace bds::core {
 
 using bdd::Edge;
@@ -185,38 +183,6 @@ Edge cut_divisor(Manager& mgr, Edge root, std::uint32_t cut_level,
     return result;
   };
   return go(root);
-}
-
-std::optional<DominatorSplit> find_balanced_split(Manager& mgr, Edge root,
-                                                  std::size_t max_cuts) {
-  if (root.is_constant()) return std::nullopt;
-  const bdd::Bdd f = mgr.wrap(root);
-  const std::size_t fsize = mgr.size(root);
-  const BddStructure structure(mgr, root);
-  const std::vector<CutInfo> cuts = enumerate_cuts(structure);
-
-  std::optional<DominatorSplit> best;
-  std::size_t best_score = fsize;  // larger half must beat the whole
-  std::size_t examined = 0;
-  for (const CutInfo& cut : conjunctive_cuts(cuts)) {
-    if (++examined > max_cuts) break;
-    // Lemma 1 construction: D >= F by redirecting free edges to 1, so
-    // restrict(F, D) keeps exactly the information D is missing. The
-    // conjunction check is defensive, as in the decomposer.
-    const bdd::Bdd d =
-        mgr.wrap(cut_divisor(mgr, root, cut.level, Edge::one()));
-    if (d.is_constant()) continue;
-    const bdd::Bdd q = mgr.wrap(mgr.restrict_(root, d.edge()));
-    const std::size_t dsize = d.size();
-    const std::size_t qsize = q.size();
-    if (dsize >= fsize || qsize >= fsize) continue;
-    const std::size_t score = std::max(dsize, qsize);
-    if (score >= best_score) continue;
-    if (!((d & q) == f)) continue;
-    best = DominatorSplit{d, q, cut.level};
-    best_score = score;
-  }
-  return best;
 }
 
 }  // namespace bds::core

@@ -91,26 +91,4 @@ bdd::Edge redirect(bdd::Manager& mgr, bdd::Edge root,
 bdd::Edge cut_divisor(bdd::Manager& mgr, bdd::Edge root,
                       std::uint32_t cut_level, bdd::Edge filler);
 
-/// A conjunctive generalized-dominator split of one function:
-/// `root == divisor & quotient`, with both halves strictly smaller than the
-/// original BDD. The halves share no state beyond the manager they were
-/// carved in, so they can be decomposed independently (the work-stealing
-/// unit of the overlapped decompose pipeline) and recombined as a single
-/// AND -- exactly the Lemma 1 step, applied once at the top.
-struct DominatorSplit {
-  bdd::Bdd divisor;        ///< D: cut divisor with free edges -> 1
-  bdd::Bdd quotient;       ///< Q: root minimized with D as care set
-  std::uint32_t cut_level = 0;  ///< the chosen horizontal cut
-};
-
-/// Scans the conjunctive cuts of `root` (at most `max_cuts` of them, in the
-/// same representative order the decomposer uses) for the split whose
-/// larger half is smallest -- the most balanced work split. Every candidate
-/// is verified functionally (`divisor & quotient == root`); returns nullopt
-/// when no cut produces two strictly smaller halves. Deterministic: a pure
-/// function of the BDD, independent of thread count or timing.
-std::optional<DominatorSplit> find_balanced_split(bdd::Manager& mgr,
-                                                  bdd::Edge root,
-                                                  std::size_t max_cuts);
-
 }  // namespace bds::core

@@ -50,11 +50,6 @@ std::string default_bds_script(const core::BdsOptions& options) {
         decompose.args.end(),
         {"-max_cuts", std::to_string(options.decompose.max_cuts)});
   }
-  if (options.split_threshold != 0) {
-    decompose.args.insert(
-        decompose.args.end(),
-        {"-split", std::to_string(options.split_threshold)});
-  }
   if (options.jobs != 1) {
     decompose.args.insert(decompose.args.end(),
                           {"-j", std::to_string(options.jobs)});

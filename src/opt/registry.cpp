@@ -21,9 +21,7 @@ PassRegistry& PassRegistry::instance() {
     r->add_script("bds", default_bds_script(),
                   {{"jobs", "bds_decompose", "-j"},
                    {"max_cuts", "bds_decompose", "-max_cuts"},
-                   {"split", "bds_decompose", "-split"},
-                   {"threshold", "bds_partition", "-t"},
-                   {"reorder", "bds_decompose", "-reorder"}});
+                   {"threshold", "bds_partition", "-t"}});
     return r;
   }();
   return *registry;

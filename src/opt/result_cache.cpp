@@ -56,9 +56,7 @@ ResultCache::Stats ResultCache::stats() const {
 
 std::uint64_t decompose_cache_key(std::uint64_t function_hash,
                                   const core::DecomposeOptions& opts,
-                                  bool reorder, std::uint32_t num_inputs,
-                                  std::size_t split_threshold,
-                                  std::uint32_t reorder_mode) {
+                                  bool reorder, std::uint32_t num_inputs) {
   // One option bit per flag, then FNV-fold the fingerprint words into the
   // function digest so two option sets never alias onto one key.
   std::uint64_t fp = 0;
@@ -69,10 +67,6 @@ std::uint64_t decompose_cache_key(std::uint64_t function_hash,
   fp |= static_cast<std::uint64_t>(opts.use_xdom) << 4;
   fp |= static_cast<std::uint64_t>(opts.dc_minimizer) << 5;
   fp |= static_cast<std::uint64_t>(num_inputs) << 8;
-  // Bits 40+: the reordering strategy. Mode 0 (sifting/disabled) keeps the
-  // fingerprint -- and so every existing key -- bit-identical to builds
-  // that predate the mode.
-  fp |= static_cast<std::uint64_t>(reorder_mode) << 40;
   std::uint64_t h = function_hash;
   const auto fold = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -82,7 +76,6 @@ std::uint64_t decompose_cache_key(std::uint64_t function_hash,
   };
   fold(fp);
   fold(static_cast<std::uint64_t>(opts.max_cuts));
-  fold(static_cast<std::uint64_t>(split_threshold));
   return h;
 }
 

@@ -68,11 +68,7 @@ class ResultCache {
 };
 
 /// Folds a canonical-function digest with everything else that determines
-/// the decomposition result: the option set, the input arity, the split
-/// threshold (a split supernode is factored as D & Q, a different tree than
-/// the unsplit decomposition) and the reordering strategy (`reorder_mode`:
-/// 0 = sifting or disabled, 1 = information-gain ordering, which changes
-/// the produced tree; 0 keeps keys identical to pre-mode builds). The `-j`
+/// the decomposition result: the option set and the input arity. The `-j`
 /// level is deliberately absent (output is byte-identical across -j), as
 /// is the budget (a degraded result is never cached). Technology-mapping
 /// options are also deliberately absent: the cached fragments are pre-emit
@@ -81,8 +77,7 @@ class ResultCache {
 /// them (DESIGN.md §5i).
 [[nodiscard]] std::uint64_t decompose_cache_key(
     std::uint64_t function_hash, const core::DecomposeOptions& opts,
-    bool reorder, std::uint32_t num_inputs, std::size_t split_threshold = 0,
-    std::uint32_t reorder_mode = 0);
+    bool reorder, std::uint32_t num_inputs);
 
 /// Serializes the fragment `(forest nodes, root, stats)` into a byte
 /// string. In-process format (the cache never leaves the daemon), written

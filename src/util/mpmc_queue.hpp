@@ -1,27 +1,22 @@
 // A bounded multi-producer/multi-consumer ready-queue.
 //
-// This is the hand-off structure of the overlapped decompose pipeline
-// (opt/bds_passes.cpp): the staging thread streams work items in while
-// consumer executors pull them out, and consumers themselves push the
-// sub-cone items produced by generalized-dominator splits -- hence multi-
-// producer as well as multi-consumer. The queue is a fixed-capacity ring
-// guarded by one mutex and two condition variables; elements this system
-// queues are coarse (a whole supernode decomposition each), so contention
-// on the lock is negligible next to the work an element represents, and a
-// mutex-based ring is trivially clean under TSan.
+// This is the hand-off structure of the bdsd admission gate
+// (service/admission.hpp): connection reader threads push admitted
+// requests in while executor threads pull them out. The queue is a
+// fixed-capacity ring guarded by one mutex and two condition variables;
+// the elements queued are coarse (a whole optimization request each), so
+// contention on the lock is negligible next to the work an element
+// represents, and a mutex-based ring is trivially clean under TSan.
 //
 // Shutdown protocol: `close()` wakes every parked producer and consumer;
 // after it, `push`/`try_push` fail and `pop` drains whatever is left before
 // returning false. Consumers therefore run `while (q.pop(item)) work(item);`
 // and fall out exactly when the queue is closed *and* empty -- the owner
-// closes it once it knows no further item can arrive (see the in-flight
-// counting in BdsDecomposePass).
+// closes it once it knows no further item can arrive.
 //
 // Blocking `push` parks while the ring is full; callers that must never
-// park (a consumer splitting a work item while every slot is taken) use
-// `try_push` and run the element inline on failure instead, which is what
-// makes the pipeline deadlock-free by construction: consumers never block
-// on the queue's capacity, so capacity pressure always drains.
+// park use `try_push` and handle the failure themselves (the admission
+// gate sheds the request).
 #pragma once
 
 #include <condition_variable>

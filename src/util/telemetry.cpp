@@ -83,9 +83,8 @@ double counter_or(const SpanEvent& e, std::string_view key, double fallback) {
 
 bool is_exec_counter(std::string_view key) {
   if (key == "workers") return true;
-  // Scheduling facts: which worker ran (or stole) what depends on timing,
-  // unlike "splits", which is a pure function of the input and -split.
-  if (key == "steals" || key == "idle_workers") return true;
+  // Scheduling fact: which executor decomposed what depends on timing.
+  if (key == "idle_workers") return true;
   // Admission gauges of the bdsd daemon (service/admission.hpp): how full
   // the pending queue was and what had been shed when a request started
   // are load facts, not functions of the input.

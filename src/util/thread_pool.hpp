@@ -12,9 +12,7 @@
 //     pool's queue are reclaimed and run on the waiting thread, so a batch
 //     whose jobs never got a worker (every thread busy with other batches,
 //     or nested waits all the way down) still completes -- `wait` can never
-//     deadlock on pool starvation. This is the primitive the overlapped
-//     decompose pipeline builds its consumer executors and work-stealing
-//     on (opt/bds_passes.cpp).
+//     deadlock on pool starvation.
 //   * `parallel_for(n, body)` -- the classic index loop, now layered on
 //     submit: one drain job per extra executor, indices claimed from an
 //     atomic counter so uneven item costs self-balance, caller drains as
@@ -220,14 +218,12 @@ class ThreadPool {
       const std::lock_guard<std::mutex> block(job.batch->mu);
       if (!job.batch->error) job.batch->error = std::current_exception();
     }
-    {
-      const std::lock_guard<std::mutex> block(job.batch->mu);
-      --job.batch->pending;
-    }
-    // Wake the batch owner on every completion, not just the last: a
-    // finished job may have queued follow-up work the waiter must help
-    // drain (sub-cone stealing under full pipelines).
-    job.batch->done_cv.notify_all();
+    // Notify under the batch lock, and only for the last job: the batch
+    // lives on the waiter's stack, and the waiter may return and destroy it
+    // as soon as it can observe pending == 0 -- which, with the lock held
+    // here, is only after this notify.
+    const std::lock_guard<std::mutex> block(job.batch->mu);
+    if (--job.batch->pending == 0) job.batch->done_cv.notify_all();
   }
 
   void worker_loop(unsigned executor) {

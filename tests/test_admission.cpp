@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,6 +43,39 @@ std::string heavy_blif() {
   net::write_blif(os, gen::array_multiplier(5));
   return os.str();
 }
+
+/// True for the statuses a heavy request may legitimately end with: kOk,
+/// or kDegraded when the BDS_NODE_LIMIT environment ceiling is set -- it
+/// forces BDD stages to fall back, which is a correct (equivalent) result.
+bool completed(Status status) {
+  if (status == Status::kOk) return true;
+  return status == Status::kDegraded &&
+         std::getenv("BDS_NODE_LIMIT") != nullptr;
+}
+
+/// Runs `server.serve()` on its own thread for the lifetime of the scope,
+/// and stops and joins it on every exit path. A failed ASSERT returns early;
+/// without this, the joinable std::thread's destructor would call
+/// std::terminate and abort the whole test binary.
+class ServeThread {
+ public:
+  explicit ServeThread(Server& server)
+      : server_(server), thread_([&server] { server.serve(); }) {}
+  ServeThread(const ServeThread&) = delete;
+  ServeThread& operator=(const ServeThread&) = delete;
+  ~ServeThread() {
+    server_.stop();
+    join();
+  }
+  /// Waits for serve() to return on its own (a graceful drain).
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  Server& server_;
+  std::thread thread_;
+};
 
 std::shared_ptr<PendingRequest> pending(std::size_t bytes,
                                         std::uint8_t priority = 0) {
@@ -223,9 +257,25 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
   options.queue_depth = 2;  // 1 normal slot + 1 priority reserve
   Server server(std::move(options));
   server.start();
-  std::thread serve_thread([&server] { server.serve(); });
+  ServeThread serving(server);
 
   const std::string blif = heavy_blif();
+  OptimizeRequest req;
+  req.blif = blif;
+  req.options.bypass_cache = true;  // every request does real work
+  // One uncontended request first: the answer every flooded client must
+  // reproduce, status and bytes.
+  OptimizeResponse reference;
+  {
+    Client client(server.socket_path());
+    client.connect();
+    reference = client.optimize(req);
+  }
+  ASSERT_TRUE(completed(reference.status))
+      << "status " << static_cast<int>(reference.status) << ": "
+      << reference.error;
+  ASSERT_FALSE(reference.blif.empty());
+
   constexpr int kClients = 12;
   std::vector<std::string> results(kClients);
   std::vector<Status> statuses(kClients, Status::kInternalError);
@@ -237,9 +287,6 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
     clients.emplace_back([&, i] {
       Client client(server.socket_path());
       client.connect();
-      OptimizeRequest req;
-      req.blif = blif;
-      req.options.bypass_cache = true;  // every request does real work
       // First, one raw attempt so the shed path itself is observed (and
       // timed -- shedding must cost microseconds, not a queue slot).
       const auto t0 = std::chrono::steady_clock::now();
@@ -274,8 +321,8 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
   for (auto& t : clients) t.join();
 
   for (int i = 0; i < kClients; ++i) {
-    ASSERT_EQ(statuses[i], Status::kOk) << "client " << i;
-    EXPECT_EQ(results[i], results[0])
+    EXPECT_EQ(statuses[i], reference.status) << "client " << i;
+    EXPECT_EQ(results[i], reference.blif)
         << "admission must never change an admitted result (client " << i
         << ")";
   }
@@ -288,9 +335,6 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
   // slack while still catching "shed waited behind the queue".
   EXPECT_LT(worst_shed_us.load(), 2'000'000)
       << "a shed response took " << worst_shed_us.load() << " us";
-
-  server.stop();
-  serve_thread.join();
 }
 
 // Graceful drain: with work admitted and executing, request_drain() (the
@@ -302,7 +346,7 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   options.concurrency = 1;  // one executor: the second request must queue
   Server server(std::move(options));
   server.start();
-  std::thread serve_thread([&server] { server.serve(); });
+  ServeThread serving(server);
 
   const std::string blif = heavy_blif();
   OptimizeRequest req;
@@ -338,15 +382,16 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   // ...every admitted request is still delivered, complete and correct...
   for (auto& t : senders) t.join();
   for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(admitted[i].status, Status::kOk)
+    ASSERT_TRUE(completed(admitted[i].status))
         << "drain dropped admitted request " << i << ": "
         << admitted[i].error;
     EXPECT_FALSE(admitted[i].blif.empty());
   }
+  EXPECT_EQ(admitted[1].status, admitted[0].status);
   EXPECT_EQ(admitted[1].blif, admitted[0].blif);
 
   // ...and serve() returns by itself once the queue is idle.
-  serve_thread.join();
+  serving.join();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.admitted, 2u);
   EXPECT_GE(stats.drained, 1u) << "work finished during drain is counted";
@@ -354,7 +399,7 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
 
   // Byte-identical to the same request handled outside any drain.
   const OptimizeResponse again = server.handle(req);
-  ASSERT_EQ(again.status, Status::kOk) << again.error;
+  EXPECT_EQ(again.status, admitted[0].status) << again.error;
   EXPECT_EQ(again.blif, admitted[0].blif)
       << "drain must not change what an admitted request computes";
 }

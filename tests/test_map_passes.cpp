@@ -140,24 +140,5 @@ TEST(MapPasses, BadSpecsAreTypedScriptErrors) {
                ScriptError);
 }
 
-// The Popel information-measure ordering (-reorder info) is a registered
-// script parameter: results stay equivalent, and two runs are identical
-// (the ordering is deterministic).
-TEST(MapPasses, InfoReorderIsEquivalentAndDeterministic) {
-  for (const net::Network& input : map_circuits()) {
-    net::Network first = input;
-    PassManager pm1 = PassManager::from_script("bds", {{"reorder", "info"}});
-    pm1.run(first);
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, first)))
-        << input.name();
-
-    net::Network second = input;
-    PassManager pm2 = PassManager::from_script("bds", {{"reorder", "info"}});
-    pm2.run(second);
-    EXPECT_EQ(net::to_blif_string(first), net::to_blif_string(second))
-        << input.name() << ": info reordering is not deterministic";
-  }
-}
-
 }  // namespace
 }  // namespace bds::opt

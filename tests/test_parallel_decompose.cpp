@@ -40,11 +40,9 @@ struct FlowResult {
   PassStats decompose;  ///< stats of the bds_decompose pass
 };
 
-FlowResult run_bds(const net::Network& input, unsigned jobs,
-                   std::size_t split_threshold = 0) {
+FlowResult run_bds(const net::Network& input, unsigned jobs) {
   core::BdsOptions opts;
   opts.jobs = jobs;
-  opts.split_threshold = split_threshold;
   net::Network net = input;
   PassManager pm = PassManager::from_script(default_bds_script(opts));
   const PipelineStats ps = pm.run(net);
@@ -68,14 +66,19 @@ const char* const kInvariantCounters[] = {"dominators", "mux", "generalized",
 TEST(ParallelDecompose, FourWorkersBitIdenticalToSerial) {
   for (const net::Network& input : families()) {
     const FlowResult serial = run_bds(input, 1);
-    const FlowResult parallel = run_bds(input, 4);
-    EXPECT_EQ(serial.blif, parallel.blif) << input.name();
-    for (const char* key : kInvariantCounters) {
-      EXPECT_EQ(serial.decompose.counter(key), parallel.decompose.counter(key))
-          << input.name() << " counter " << key;
-    }
     EXPECT_EQ(serial.decompose.counter("workers"), 1.0) << input.name();
-    EXPECT_EQ(parallel.decompose.counter("workers"), 4.0) << input.name();
+    for (const unsigned jobs : {4u, 8u}) {
+      const FlowResult parallel = run_bds(input, jobs);
+      EXPECT_EQ(serial.blif, parallel.blif) << input.name() << " -j " << jobs;
+      for (const char* key : kInvariantCounters) {
+        EXPECT_EQ(serial.decompose.counter(key),
+                  parallel.decompose.counter(key))
+            << input.name() << " -j " << jobs << " counter " << key;
+      }
+      EXPECT_EQ(parallel.decompose.counter("workers"),
+                static_cast<double>(jobs))
+          << input.name();
+    }
   }
 }
 
@@ -130,72 +133,17 @@ TEST(ParallelDecompose, JobsFlagRoundTripsThroughScript) {
   EXPECT_EQ(rendered, script);
 }
 
-TEST(ParallelDecompose, SplitRunsAreBitIdenticalAcrossWorkerCounts) {
-  // With -split engaged, big supernodes are halved at a dominator cut and
-  // the halves are decomposed as independent (stealable) work items. The
-  // split decision and the recombined network must be pure functions of
-  // the input: byte-identical BLIF and identical split counts at every -j.
-  std::size_t families_that_split = 0;
-  for (const net::Network& input : families()) {
-    const FlowResult serial = run_bds(input, 1, /*split_threshold=*/12);
-    const double splits = serial.decompose.counter("splits");
-    if (splits > 0) ++families_that_split;
-    for (const unsigned jobs : {2u, 4u, 8u}) {
-      const FlowResult parallel = run_bds(input, jobs, 12);
-      EXPECT_EQ(serial.blif, parallel.blif)
-          << input.name() << " -j " << jobs;
-      EXPECT_EQ(parallel.decompose.counter("splits"), splits)
-          << input.name() << " -j " << jobs;
-      for (const char* key : kInvariantCounters) {
-        EXPECT_EQ(serial.decompose.counter(key),
-                  parallel.decompose.counter(key))
-            << input.name() << " -j " << jobs << " counter " << key;
-      }
-    }
-  }
-  // The threshold is low enough that the suite genuinely exercises the
-  // split path (otherwise this test silently tests nothing).
-  EXPECT_GT(families_that_split, 0u);
-}
-
-TEST(ParallelDecompose, SplitRecombinedNetworkIsEquivalentToInput) {
-  for (const net::Network& input :
-       {gen::alu(4), gen::barrel_shifter(8), gen::hamming_corrector(3)}) {
-    core::BdsOptions opts;
-    opts.jobs = 4;
-    opts.split_threshold = 12;
-    net::Network net = input;
-    PassManager pm = PassManager::from_script(default_bds_script(opts));
-    pm.run(net);
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)))
-        << input.name();
-  }
-}
-
-TEST(ParallelDecompose, SplitChangesTheNetworkOnlyViaTheThreshold) {
-  // Same input, same -j, different thresholds: the 0-threshold run must
-  // match the classic unsplit decomposition exactly.
-  const net::Network input = gen::alu(4);
-  const FlowResult unsplit = run_bds(input, 4, 0);
-  const FlowResult classic = run_bds(input, 1);
-  EXPECT_EQ(unsplit.blif, classic.blif);
-}
-
-TEST(ParallelDecompose, SplitFlagRoundTripsThroughScript) {
-  core::BdsOptions opts;
-  opts.jobs = 2;
-  opts.split_threshold = 64;
-  const std::string script = default_bds_script(opts);
-  EXPECT_NE(script.find("-split 64"), std::string::npos) << script;
-  PassManager pm = PassManager::from_script(script);
-  std::string rendered;
-  for (const auto& pass : pm.passes()) {
-    if (!rendered.empty()) rendered += "; ";
-    rendered += std::string(pass->name());
-    const std::string args = pass->args();
-    if (!args.empty()) rendered += ' ' + args;
-  }
-  EXPECT_EQ(rendered, script);
+TEST(ParallelDecompose, RemovedFlagsAreRejected) {
+  // Dominator splitting and information-gain ordering are gone; their
+  // flags are unknown arguments now, not silently ignored.
+  EXPECT_THROW(PassManager::from_script("bds_decompose -split 12"),
+               ScriptError);
+  EXPECT_THROW(PassManager::from_script("bds_decompose -reorder info"),
+               ScriptError);
+  EXPECT_THROW(PassManager::from_script("bds", {{"split", "12"}}),
+               ScriptError);
+  EXPECT_THROW(PassManager::from_script("bds", {{"reorder", "info"}}),
+               ScriptError);
 }
 
 TEST(ParallelDecompose, IdleWorkersAreAccountedNotZeroedIntoBusyMin) {
@@ -230,35 +178,58 @@ TEST(ParallelDecompose, IdleWorkersAreAccountedNotZeroedIntoBusyMin) {
 
 TEST(ParallelDecompose, ConeLeasesEndBeforeTheMerge) {
   // Each per-cone manager goes back to the pool as soon as its forest is
-  // built, so a serial run never holds more than a couple at once and the
-  // pool stays small -- not one parked manager per supernode.
-  net::Network net = gen::ripple_adder(64);
-  PassContext ctx;
-  PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
-  ASSERT_GE(ctx.state<BdsFlowState>().part.supernodes.size(), 100u);
-  const std::size_t idle_before = ManagerPool::global().idle();
-  PassManager::from_script("bds_decompose -j 1").run(net, {}, ctx);
-  EXPECT_LE(ManagerPool::global().idle(),
-            std::max<std::size_t>(idle_before, 2));
+  // built, so a run never holds more leases than it has executor slots and
+  // the pool stays small -- not one parked manager per supernode. Every
+  // manager the pool constructs becomes idle afterwards, and it constructs
+  // one only when all of its managers are leased, so the idle count after
+  // the run bounds the peak number of live leases.
+  for (const unsigned jobs : {1u, 4u}) {
+    net::Network net = gen::ripple_adder(64);
+    PassContext ctx;
+    PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
+    ASSERT_GE(ctx.state<BdsFlowState>().part.supernodes.size(), 100u);
+    const std::size_t idle_before = ManagerPool::global().idle();
+    PassManager::from_script("bds_decompose -j " + std::to_string(jobs))
+        .run(net, {}, ctx);
+    EXPECT_LE(ManagerPool::global().idle(),
+              std::max<std::size_t>(idle_before, jobs == 1 ? 2 : jobs))
+        << "-j " << jobs;
+  }
 }
 
 TEST(ParallelDecompose, MissingPartitionVariableIsDiagnosed) {
   // A supernode input with no partition variable must be reported, not
-  // silently aliased onto variable 0 (the pre-fix behaviour).
-  net::Network net = gen::ripple_adder(6);
-  PassContext ctx;
-  PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
-  BdsFlowState& st = ctx.state<BdsFlowState>();
-  ASSERT_FALSE(st.part.supernodes.empty());
-  ASSERT_FALSE(st.part.supernodes[0].inputs.empty());
-  st.part.var_of[st.part.supernodes[0].inputs[0]] = core::kNoVar;
-  try {
-    PassManager::from_script("bds_decompose").run(net, {}, ctx);
-    FAIL() << "corrupted partition was not diagnosed";
-  } catch (const ScriptError& e) {
-    EXPECT_NE(std::string(e.what()).find("no partition variable"),
-              std::string::npos)
-        << e.what();
+  // silently aliased onto variable 0 (the pre-fix behaviour). In a
+  // parallel run the error is raised on whichever executor stages that
+  // cone and rethrown by the pass after the loop; the pool stays usable.
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::string decompose = "bds_decompose -j " + std::to_string(jobs);
+    net::Network net = gen::ripple_adder(6);
+    PassContext ctx;
+    PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
+    BdsFlowState& st = ctx.state<BdsFlowState>();
+    ASSERT_GT(st.part.supernodes.size(), 1u);
+    const std::size_t last = st.part.supernodes.size() - 1;
+    ASSERT_FALSE(st.part.supernodes[last].inputs.empty());
+    const net::NodeId input = st.part.supernodes[last].inputs[0];
+    const bdd::Var saved = st.part.var_of[input];
+    st.part.var_of[input] = core::kNoVar;
+    try {
+      PassManager::from_script(decompose).run(net, {}, ctx);
+      ADD_FAILURE() << "corrupted partition was not diagnosed at -j " << jobs;
+    } catch (const ScriptError& e) {
+      EXPECT_NE(std::string(e.what()).find("no partition variable"),
+                std::string::npos)
+          << e.what();
+    }
+
+    // A following run on the same (shared) pool succeeds.
+    st.part.var_of[input] = saved;
+    const net::Network input_net = net;
+    PassManager::from_script(decompose + "; bds_sharing; bds_emit")
+        .run(net, {}, ctx);
+    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input_net, net)))
+        << "-j " << jobs;
   }
 }
 

@@ -81,21 +81,6 @@ TEST(DecomposeCacheKey, SensitiveToEveryOptionButNotJobs) {
 
   // Identical inputs reproduce the key (it addresses a shared cache).
   EXPECT_EQ(decompose_cache_key(42, base, true, 5), k0);
-
-  // The split threshold changes the produced factoring tree (D & Q instead
-  // of the unsplit decomposition), so it must change the key.
-  EXPECT_NE(decompose_cache_key(42, base, true, 5, 64), k0);
-  EXPECT_NE(decompose_cache_key(42, base, true, 5, 64),
-            decompose_cache_key(42, base, true, 5, 128));
-  EXPECT_EQ(decompose_cache_key(42, base, true, 5, 0), k0);  // 0 = default
-
-  // The reordering strategy changes the variable order the decomposition
-  // sees, hence the tree; mode 0 (sifting) keys identically to builds that
-  // predate the parameter, mode 1 (information-gain) must not collide.
-  EXPECT_EQ(decompose_cache_key(42, base, true, 5, 0, 0), k0);
-  EXPECT_NE(decompose_cache_key(42, base, true, 5, 0, 1), k0);
-  EXPECT_NE(decompose_cache_key(42, base, true, 5, 64, 1),
-            decompose_cache_key(42, base, true, 5, 64, 0));
 }
 
 TEST(ResultCache, SkippedSupernodesKeepTheHitRateDenominatorExact) {

@@ -23,9 +23,13 @@
 
 // ---------------------------------------------------------------------------
 // Counting global allocator: lets DisabledSpanAllocatesNothing prove the
-// inert-span contract. The default operator new[] forwards to operator new
-// (and delete[] to delete), so overriding the scalar forms counts every
-// allocation in the process.
+// inert-span contract. Every replaceable form -- scalar and array, throwing
+// and nothrow -- is replaced, so each allocation is counted exactly once
+// and every release goes to the same malloc/free pair that served it. (A
+// form left to the runtime would allocate through it and be freed here:
+// std::stable_sort's temporary buffer comes from the nothrow operator new,
+// which a sanitizer runtime intercepts, and is returned through the sized
+// operator delete -- an alloc-dealloc mismatch under ASan.)
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -36,8 +40,22 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace bds {
 namespace {

@@ -1,7 +1,7 @@
 // ThreadPool unit tests: full index coverage, per-executor isolation,
 // reuse across jobs, exception propagation, the -j resolution rule, the
-// submit/Batch/wait primitives the overlapped decompose pipeline builds
-// on, and the bounded MpmcQueue hand-off structure.
+// submit/Batch/wait primitives parallel_for builds on, and the bounded
+// MpmcQueue hand-off structure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -184,6 +184,27 @@ TEST(ThreadPool, PoolSurvivesReuseAcrossPassLikeRounds) {
     pool.wait(batch);
     EXPECT_EQ(ran.load(), 50u) << "pass " << pass;
   }
+}
+
+TEST(ThreadPool, ManyShortParallelForRoundsOnOnePool) {
+  // Each parallel_for round keeps its Batch on the caller's stack, and the
+  // caller returns -- destroying it -- the moment the last job is done.
+  // The finishing worker must not touch the batch after that point (it
+  // once notified the batch's condition variable after unlocking its
+  // mutex, a use-after-scope TSan reports). Rounds are long enough that
+  // the pool threads, not just the caller, finish jobs.
+  ThreadPool pool(4);
+  constexpr int kRounds = 20000;
+  constexpr std::size_t kIndices = 64;
+  std::size_t total = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<std::size_t> ran{0};
+    pool.parallel_for(kIndices, [&](std::size_t, unsigned) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    total += ran.load();
+  }
+  EXPECT_EQ(total, kRounds * kIndices);
 }
 
 TEST(MpmcQueue, FifoWithinCapacity) {
