@@ -1,11 +1,11 @@
 // Ablation benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out: which decomposition types run, sharing extraction, variable
 // reordering, and the eliminate threshold. Since the flows are pass
-// pipelines, every ablation is expressed by editing the flow's script
-// string (src/opt/flows.hpp) rather than option booleans; each benchmark
-// measures the full pipeline time and reports the resulting gate count and
-// literal count as counters, so both runtime and quality effects are
-// visible.
+// pipelines, every ablation is expressed by editing the registered `bds`
+// script text (src/opt/registry.cpp) rather than option booleans; each
+// benchmark measures the full pipeline time and reports the resulting gate
+// count and literal count as counters, so both runtime and quality effects
+// are visible.
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -6,10 +6,9 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
 #include "map/lutmap.hpp"
-#include "sis/script.hpp"
+#include "opt/manager.hpp"
 #include "verify/cec.hpp"
 
 int main() {
@@ -37,9 +36,10 @@ int main() {
 
   double total_sis = 0, total_bds = 0;
   for (const Case& c : cases) {
-    const net::Network bds_net = core::bds_optimize(c.circuit);
+    net::Network bds_net = c.circuit;
+    opt::PassManager::from_script("bds").run(bds_net);
     net::Network sis_net = c.circuit;
-    sis::script_rugged(sis_net);
+    opt::PassManager::from_script("rugged").run(sis_net);
     const map::LutMapResult lr = map::map_luts(c.circuit, 4);
     const map::LutMapResult ls = map::map_luts(sis_net, 4);
     const map::LutMapResult lb = map::map_luts(bds_net, 4);

@@ -1,29 +1,20 @@
 // Continuous benchmark suite: runs the generated circuit families through
 // the registered `bds` and `rugged` pipelines, builds global BDDs per
-// family to exercise the manager's computed table and GC, times a
-// structural-query microbenchmark (size / support / sat_count over a
-// generated-adder forest) against faithful reimplementations of the old
-// recursive/hash-set query code, and measures the decompose phase serial
-// vs parallel (-j 1/2/4) on the adder-forest family, cross-checking that
-// every worker count emits byte-identical BLIF. A `budget` section measures
-// the cost of resource governance: the same apply-heavy global-BDD build
-// with and without an installed (never-tripping) ResourceBudget, plus a
-// forced-degradation run whose output is equivalence-checked. A
-// `telemetry` section measures the observability layer the same way: the
-// apply-heavy build with and without an attached GaugeSampler (the only
-// telemetry on the manager's budget path; bar <= 1%), plus the `bds`
-// pipeline with and without a full Telemetry hub. The family flow numbers
-// themselves are read back from an AggregateSink via
-// aggregate_pipeline_stats, so bench numbers and live `-trace-json` traces
-// come from one code path. A `node_store` section reports the SoA layout's
+// family to exercise the manager's computed table and GC, and measures the
+// decompose phase serial vs parallel (-j 1/2/4) on the adder-forest
+// family, cross-checking that every worker count emits byte-identical
+// BLIF. A `budget` section measures the cost of resource governance: the
+// same apply-heavy global-BDD build with and without an installed
+// (never-tripping) ResourceBudget, plus a forced-degradation run whose
+// output is equivalence-checked. A `telemetry` section measures the
+// observability layer the same way: the apply-heavy build with and
+// without an attached GaugeSampler (the only telemetry on the manager's
+// budget path; bar <= 1%), plus the `bds` pipeline with and without a full
+// Telemetry hub. A `node_store` section reports the SoA layout's
 // sizeof-derived bytes/node, the unique-table load factor of a
-// representative build, the structural-query speedup normalized against
-// the recorded BENCH_pr2 baseline, and a timed serialize/deserialize
-// round-trip; every family's global forest is round-tripped too and must
-// come back lossless. Each family's computed-table hit rate is compared
-// against the direct-mapped-era rate recorded in BENCH_pr6.json (the
-// baseline predates the 2-way set-associative table, so the delta is the
-// associativity win). A `service` section drives the bdsd daemon's
+// representative build, and a timed serialize/deserialize round-trip;
+// every family's global forest is round-tripped too and must come back
+// lossless. A `service` section drives the bdsd daemon's
 // request path in-process (Server::handle(), no socket) over a repeated
 // family workload: the cold batch pays reorder+decompose, the warm batch
 // is served from the content-addressed result cache and must come back
@@ -51,10 +42,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <iterator>
-#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -62,16 +50,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bdd/bdd.hpp"
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
 #include "net/network.hpp"
 #include "opt/bds_passes.hpp"
-#include "opt/flows.hpp"
 #include "opt/manager.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -176,18 +160,9 @@ GlobalBuild build_global_bdds(const Network& net, std::size_t max_live_nodes,
   std::size_t reorder_at = std::min<std::size_t>(20'000, max_live_nodes / 8);
   for (const NodeId id : net.topo_order()) {
     const bds::net::Node& n = net.node(id);
-    Bdd f = mgr.zero();
-    for (const bds::sop::Cube& c : n.func.cubes()) {
-      Bdd term = mgr.one();
-      for (unsigned i = 0; i < c.num_vars(); ++i) {
-        const bds::sop::Literal l = c.get(i);
-        if (l == bds::sop::Literal::kAbsent) continue;
-        const Bdd& in = value[n.fanins[i]];
-        term = term & (l == bds::sop::Literal::kPos ? in : !in);
-      }
-      f = f | term;
-    }
-    value[id] = f;
+    value[id] = bds::sop::eval_cover(
+        n.func, mgr.zero(), mgr.one(),
+        [&](unsigned i) -> const Bdd& { return value[n.fanins[i]]; });
     if (mgr.live_nodes() > reorder_at) {
       mgr.reorder_sift();
       reorder_at = std::max(reorder_at, mgr.live_nodes() * 4);
@@ -208,133 +183,6 @@ GlobalBuild build_global_bdds(const Network& net, std::size_t max_live_nodes,
 }
 
 // ---------------------------------------------------------------------------
-// Pre-PR structural queries, reimplemented verbatim-in-spirit over the
-// public read-only accessors: recursion via std::function, a fresh
-// unordered_set/unordered_map per call. These are the baseline the 2x
-// acceptance bar in BENCH_pr2.json is measured against.
-
-std::size_t legacy_size(const Manager& mgr, Edge e) {
-  std::unordered_set<std::uint32_t> seen;
-  std::size_t count = 0;
-  std::function<void(Edge)> go = [&](Edge f) {
-    const std::uint32_t idx = f.node();
-    if (!seen.insert(idx).second) return;
-    ++count;
-    if (idx == 0) return;
-    go(mgr.node_hi(idx));
-    go(mgr.node_lo(idx));
-  };
-  go(e);
-  return count;
-}
-
-std::vector<Var> legacy_support(const Manager& mgr, Edge e) {
-  std::unordered_set<std::uint32_t> seen;
-  std::unordered_set<Var> vars;
-  std::function<void(Edge)> go = [&](Edge f) {
-    const std::uint32_t idx = f.node();
-    if (idx == 0 || !seen.insert(idx).second) return;
-    vars.insert(mgr.node_var(idx));
-    go(mgr.node_hi(idx));
-    go(mgr.node_lo(idx));
-  };
-  go(e);
-  std::vector<Var> result(vars.begin(), vars.end());
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-double legacy_sat_count(const Manager& mgr, Edge e, std::uint32_t nvars) {
-  // Plain-double minterm densities (the representation the PR replaced with
-  // scaled mantissa/exponent pairs to survive wide supports).
-  std::unordered_map<std::uint32_t, double> density;
-  std::function<double(Edge)> go = [&](Edge f) -> double {
-    const std::uint32_t idx = f.node();
-    double d;
-    if (idx == 0) {
-      d = 1.0;
-    } else if (const auto it = density.find(idx); it != density.end()) {
-      d = it->second;
-    } else {
-      d = 0.5 * go(mgr.node_hi(idx)) + 0.5 * go(mgr.node_lo(idx));
-      density.emplace(idx, d);
-    }
-    return f.complemented() ? 1.0 - d : d;
-  };
-  double result = go(e);
-  for (std::uint32_t i = 0; i < nvars; ++i) result *= 2.0;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Structural-query microbenchmark: repeated size / support / sat_count over
-// every root of an adder forest, legacy vs current implementations.
-
-struct MicrobenchResult {
-  std::string circuit;
-  std::size_t roots = 0;
-  std::size_t forest_nodes = 0;
-  int iterations = 0;
-  double legacy_seconds = 0.0;
-  double current_seconds = 0.0;
-  double speedup = 0.0;
-  bool results_match = false;
-};
-
-MicrobenchResult run_microbench(int iterations) {
-  constexpr unsigned kAdderBits = 24;
-  const Network net = bds::gen::ripple_adder(kAdderBits);
-  GlobalBuild gb = build_global_bdds(net, 2'000'000);
-  const Manager& mgr = *gb.mgr;
-  const std::uint32_t nvars = mgr.num_vars();
-
-  MicrobenchResult r;
-  r.circuit = "ripple_adder(" + std::to_string(kAdderBits) + ")";
-  r.roots = gb.outputs.size();
-  r.iterations = iterations;
-  std::vector<Edge> roots;
-  for (const Bdd& f : gb.outputs) roots.push_back(f.edge());
-  r.forest_nodes = mgr.size(roots);
-
-  // Cross-check once before timing: the two implementations must agree on
-  // every root, or the speedup number is meaningless.
-  r.results_match = true;
-  for (const Edge e : roots) {
-    if (legacy_size(mgr, e) != mgr.size(e)) r.results_match = false;
-    if (legacy_support(mgr, e) != mgr.support(e)) r.results_match = false;
-    const double a = legacy_sat_count(mgr, e, nvars);
-    const double b = mgr.sat_count(e, nvars);
-    if (std::abs(a - b) > 1e-9 * std::max(std::abs(a), 1.0)) {
-      r.results_match = false;
-    }
-  }
-
-  // volatile sink defeats dead-code elimination of the query results.
-  volatile double sink = 0.0;
-  Timer tl;
-  for (int it = 0; it < iterations; ++it) {
-    for (const Edge e : roots) {
-      sink = sink + static_cast<double>(legacy_size(mgr, e));
-      sink = sink + static_cast<double>(legacy_support(mgr, e).size());
-      sink = sink + legacy_sat_count(mgr, e, nvars);
-    }
-  }
-  r.legacy_seconds = tl.seconds();
-
-  Timer tc;
-  for (int it = 0; it < iterations; ++it) {
-    for (const Edge e : roots) {
-      sink = sink + static_cast<double>(mgr.size(e));
-      sink = sink + static_cast<double>(mgr.support(e).size());
-      sink = sink + mgr.sat_count(e, nvars);
-    }
-  }
-  r.current_seconds = tc.seconds();
-  r.speedup = r.current_seconds > 0 ? r.legacy_seconds / r.current_seconds : 0;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // Family runs: each generated circuit goes through both registered
 // pipelines, and through a plain global-BDD build that records ManagerStats.
 
@@ -350,19 +198,7 @@ FlowResult run_flow(const Network& input, const std::string& script) {
   Network net = input;
   bds::opt::PassManager pm = bds::opt::PassManager::from_script(script);
   bds::opt::PassContext ctx;
-  // The bench numbers are read back from the telemetry aggregator rather
-  // than from the directly returned PipelineStats: BENCH_*.json and a live
-  // `-trace-json`/`-profile` run share one instrumentation code path, so a
-  // telemetry regression shows up here too.
-  bds::opt::PipelineOptions popts;
-  const auto telemetry = std::make_shared<bds::util::Telemetry>(script);
-  const auto aggregate = std::make_shared<bds::util::AggregateSink>();
-  telemetry->add_sink(aggregate);
-  popts.telemetry = telemetry;
-  pm.run(net, popts, ctx);
-  telemetry->finish();
-  const bds::opt::PipelineStats ps =
-      bds::opt::aggregate_pipeline_stats(aggregate->events());
+  const bds::opt::PipelineStats ps = pm.run(net, {}, ctx);
   r.seconds = ps.seconds_total;
   r.literals_after = net.total_literals();
   r.depth_after = net.depth();
@@ -450,15 +286,13 @@ ParallelBenchResult run_parallel_bench(const Network& input,
   r.circuit = circuit;
   std::string reference_blif;
   for (const unsigned jobs : {1u, 2u, 4u}) {
-    bds::core::BdsOptions opts;
-    opts.jobs = jobs;
-    const std::string script = bds::opt::default_bds_script(opts);
+    const bds::opt::ScriptParams params = {{"jobs", std::to_string(jobs)}};
     ParallelPoint p;
     p.jobs = jobs;
     for (int rep = 0; rep < reps; ++rep) {
       Network net = input;
-      bds::opt::PassManager pm = bds::opt::PassManager::from_script(script);
-      const bds::opt::PipelineStats ps = pm.run(net);
+      const bds::opt::PipelineStats ps =
+          bds::opt::PassManager::from_script("bds", params).run(net);
       double seconds = 0.0;
       for (const bds::opt::PassStats& pass : ps.passes) {
         if (pass.name != "bds_decompose") continue;
@@ -656,72 +490,19 @@ TelemetryBenchResult run_telemetry_bench(int reps) {
 
 // ---------------------------------------------------------------------------
 // Node-store section: the layout constants as the compiler sees them, the
-// unique-table density of a representative build, the structural-query
-// speedup normalized against the BENCH_pr2 recorded baseline, and a timed
+// unique-table density of a representative build, and a timed
 // serialize -> deserialize -> re-query round-trip.
-//
-// Cross-PR speedup comparison: both PRs measured current-vs-legacy on their
-// own machine, against the *same* legacy reimplementation above. The ratio
-// of the two speedups therefore cancels the machine and measures only the
-// query implementations -- that ratio is what the >= 1.5x bar applies to.
 
 struct NodeStoreResult {
   std::string circuit;
   std::size_t unique_buckets = 0;
   std::size_t unique_entries = 0;
   double load_factor = 0.0;
-  double pr2_speedup = 0.0;  ///< recorded BENCH_pr2 microbench speedup
-  bool baseline_found = false;
-  double speedup_vs_pr2 = 0.0;  ///< current speedup / pr2 speedup
   std::size_t image_bytes = 0;
   double serialize_seconds = 0.0;
   double deserialize_seconds = 0.0;
   bool roundtrip_lossless = false;
 };
-
-// Pulls "microbench"."structural_queries"."speedup" out of a BENCH_pr2.json
-// with a plain string scan (the writer above controls the format; no JSON
-// dependency). Returns 0.0 if the file or the field is missing.
-double read_pr2_speedup() {
-  for (const char* path :
-       {"BENCH_pr2.json", "../BENCH_pr2.json", "../../BENCH_pr2.json"}) {
-    std::ifstream in(path);
-    if (!in) continue;
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const std::size_t section = text.find("\"structural_queries\"");
-    if (section == std::string::npos) continue;
-    const std::size_t key = text.find("\"speedup\"", section);
-    if (key == std::string::npos) continue;
-    const std::size_t colon = text.find(':', key);
-    if (colon == std::string::npos) continue;
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-  }
-  return 0.0;
-}
-
-// Pulls the named family's "cache_hit_rate" out of a BENCH_pr6.json with
-// the same plain string scan. That baseline was recorded while the
-// computed table was still direct-mapped, so current-minus-recorded is the
-// hit-rate delta bought by 2-way set associativity. Returns a negative
-// value if the file or the family is missing.
-double read_pr6_hit_rate(const std::string& family) {
-  for (const char* path :
-       {"BENCH_pr6.json", "../BENCH_pr6.json", "../../BENCH_pr6.json"}) {
-    std::ifstream in(path);
-    if (!in) continue;
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const std::size_t name = text.find("\"name\": \"" + family + "\"");
-    if (name == std::string::npos) continue;
-    const std::size_t key = text.find("\"cache_hit_rate\"", name);
-    if (key == std::string::npos) continue;
-    const std::size_t colon = text.find(':', key);
-    if (colon == std::string::npos) continue;
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-  }
-  return -1.0;
-}
 
 // Serialize `mgr` with `roots`, load the image into a fresh manager, and
 // re-run every structural query on both sides. Returns true iff the
@@ -759,7 +540,7 @@ bool verify_roundtrip(const Manager& mgr, const std::vector<Edge>& roots,
   return true;
 }
 
-NodeStoreResult run_node_store_bench(const MicrobenchResult& mb) {
+NodeStoreResult run_node_store_bench() {
   NodeStoreResult r;
   constexpr unsigned kAdderBits = 24;
   const Network net = bds::gen::ripple_adder(kAdderBits);
@@ -771,9 +552,6 @@ NodeStoreResult run_node_store_bench(const MicrobenchResult& mb) {
                       ? static_cast<double>(r.unique_entries) /
                             static_cast<double>(r.unique_buckets)
                       : 0.0;
-  r.pr2_speedup = read_pr2_speedup();
-  r.baseline_found = r.pr2_speedup > 0.0;
-  r.speedup_vs_pr2 = r.baseline_found ? mb.speedup / r.pr2_speedup : 0.0;
 
   std::vector<Edge> roots;
   for (const Bdd& f : gb.outputs) roots.push_back(f.edge());
@@ -1047,47 +825,16 @@ int main(int argc, char** argv) {
   json.field("pr", "pr10");
   json.field("hardware_concurrency", std::thread::hardware_concurrency());
 
-  // -- Microbenchmark -------------------------------------------------------
-  std::cout << "== structural-query microbenchmark ==\n";
-  const MicrobenchResult mb = run_microbench(quick ? 5 : 40);
-  std::cout << "  " << mb.circuit << ": " << mb.roots << " roots, "
-            << mb.forest_nodes << " forest nodes, " << mb.iterations
-            << " iterations\n"
-            << "  legacy " << std::fixed << std::setprecision(3)
-            << mb.legacy_seconds << "s   current " << mb.current_seconds
-            << "s   speedup " << std::setprecision(2) << mb.speedup << "x"
-            << (mb.results_match ? "" : "   RESULTS MISMATCH!") << "\n";
-  json.open("microbench");
-  json.open("structural_queries");
-  json.field("circuit", mb.circuit);
-  json.field("roots", mb.roots);
-  json.field("forest_nodes", mb.forest_nodes);
-  json.field("iterations", mb.iterations);
-  json.field("legacy_seconds", mb.legacy_seconds);
-  json.field("current_seconds", mb.current_seconds);
-  json.field("speedup", mb.speedup);
-  json.field("results_match", mb.results_match);
-  json.close();
-  json.close();
-  bool all_ok = mb.results_match;
-
   // -- Node store: layout, table density, serialization ---------------------
   std::cout << "== node store ==\n";
-  const NodeStoreResult ns = run_node_store_bench(mb);
+  bool all_ok = true;
+  const NodeStoreResult ns = run_node_store_bench();
   std::cout << "  store " << bds::bdd::kNodeStoreBytesPerNode
             << " B/node + refs " << bds::bdd::kNodeRefBytesPerNode
             << " B/node (sizeof-derived; was 24 hand-maintained)\n"
             << "  " << ns.circuit << ": unique table " << ns.unique_entries
             << " entries / " << ns.unique_buckets << " buckets, load "
             << std::fixed << std::setprecision(2) << ns.load_factor << "\n";
-  if (ns.baseline_found) {
-    std::cout << "  query speedup vs BENCH_pr2 baseline: " << std::fixed
-              << std::setprecision(2) << ns.speedup_vs_pr2 << "x ("
-              << mb.speedup << "x now / " << ns.pr2_speedup
-              << "x recorded)\n";
-  } else {
-    std::cout << "  BENCH_pr2.json not found; speedup-vs-pr2 unavailable\n";
-  }
   std::cout << "  round-trip " << ns.image_bytes << " B image: serialize "
             << std::fixed << std::setprecision(3) << ns.serialize_seconds
             << "s  deserialize " << ns.deserialize_seconds << "s  "
@@ -1101,10 +848,6 @@ int main(int argc, char** argv) {
   json.field("unique_table_buckets", ns.unique_buckets);
   json.field("unique_table_entries", ns.unique_entries);
   json.field("unique_table_load_factor", ns.load_factor);
-  json.field("speedup_current", mb.speedup);
-  json.field("pr2_baseline_found", ns.baseline_found);
-  json.field("pr2_baseline_speedup", ns.pr2_speedup);
-  json.field("speedup_vs_pr2", ns.speedup_vs_pr2);
   json.open("serialization");
   json.field("image_bytes", ns.image_bytes);
   json.field("serialize_seconds", ns.serialize_seconds);
@@ -1447,25 +1190,6 @@ int main(int argc, char** argv) {
     json.field("aborted", gb.aborted);
     if (!gb.aborted) {
       emit_manager_stats(json, *gb.mgr);
-      // Hit-rate delta vs the direct-mapped table recorded in BENCH_pr6:
-      // the same build with 2-way sets should lose fewer hot pairs to
-      // slot collisions, so the delta is the associativity win.
-      const bds::bdd::ManagerStats& ms = gb.mgr->stats();
-      const double hit_rate =
-          ms.cache_lookups > 0 ? static_cast<double>(ms.cache_hits) /
-                                     static_cast<double>(ms.cache_lookups)
-                               : 0.0;
-      const double pr6_rate = read_pr6_hit_rate(fam.name);
-      json.field("pr6_direct_mapped_hit_rate", pr6_rate);
-      json.field("hit_rate_delta_vs_pr6",
-                 pr6_rate >= 0.0 ? hit_rate - pr6_rate : 0.0);
-      if (pr6_rate >= 0.0) {
-        std::cout << "  " << std::left << std::setw(12) << fam.name
-                  << std::right << "  computed-table hit rate " << std::fixed
-                  << std::setprecision(3) << hit_rate << " (direct-mapped "
-                  << pr6_rate << ", delta " << std::showpos
-                  << hit_rate - pr6_rate << std::noshowpos << ")\n";
-      }
     }
     json.close();
     // Every family's global forest must survive the serialization

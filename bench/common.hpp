@@ -9,10 +9,10 @@
 #include <string>
 
 #include "bdd/bdd.hpp"
-#include "core/bds.hpp"
 #include "map/mapper.hpp"
 #include "net/network.hpp"
-#include "sis/script.hpp"
+#include "opt/bds_passes.hpp"
+#include "opt/manager.hpp"
 #include "util/timer.hpp"
 #include "verify/cec.hpp"
 
@@ -62,26 +62,31 @@ inline FlowMetrics finish(const net::Network& input,
 inline constexpr double kBytesPerNode =
     static_cast<double>(bdd::kBytesPerNode);
 
+inline double node_mb(std::size_t nodes) {
+  return static_cast<double>(nodes) * kBytesPerNode / (1024.0 * 1024.0);
+}
+
 inline FlowMetrics run_bds_flow(const net::Network& input) {
   Timer t;
-  core::BdsStats stats;
-  const net::Network optimized = core::bds_optimize(input, {}, &stats);
+  net::Network optimized = input;
+  opt::PassContext ctx;
+  opt::PassManager::from_script("bds").run(optimized, {}, ctx);
   const map::MapResult mapped = map::map_network(optimized);
   const double cpu = t.seconds();
   return finish(input, mapped, cpu,
-                static_cast<double>(stats.peak_bdd_nodes) * kBytesPerNode /
-                    (1024.0 * 1024.0));
+                node_mb(ctx.state<opt::BdsFlowState>().peak_bdd_nodes()));
 }
 
 inline FlowMetrics run_sis_flow(const net::Network& input) {
   Timer t;
   net::Network net = input;
-  const sis::SisStats stats = sis::script_rugged(net);
+  const opt::PipelineStats stats =
+      opt::PassManager::from_script("rugged").run(net);
   const map::MapResult mapped = map::map_network(net);
   const double cpu = t.seconds();
   return finish(input, mapped, cpu,
-                static_cast<double>(stats.peak_bdd_nodes) * kBytesPerNode /
-                    (1024.0 * 1024.0));
+                node_mb(static_cast<std::size_t>(
+                    stats.counter("peak_bdd_nodes"))));
 }
 
 inline void print_row(const std::string& name, const FlowMetrics& sis,

@@ -1,16 +1,18 @@
 // Quickstart: the BDS public API in one page.
 //
 //   1. Build (or parse) a Boolean network.
-//   2. Optimize it with the BDD-based flow.
+//   2. Optimize it with the registered `bds` flow (sweep -> eliminate ->
+//      reorder -> decompose -> share), the one entry point every tool uses.
 //   3. Map it onto the gate library.
 //   4. Verify the result formally.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "core/bds.hpp"
 #include "map/mapper.hpp"
 #include "net/network.hpp"
+#include "opt/bds_passes.hpp"
+#include "opt/manager.hpp"
 #include "verify/cec.hpp"
 
 int main() {
@@ -40,14 +42,14 @@ int main() {
             << input.total_literals() << " literals\n";
 
   // --- the BDS flow: sweep -> eliminate -> reorder -> decompose -> share ---
-  core::BdsStats stats;
-  const net::Network optimized = core::bds_optimize(input, {}, &stats);
+  net::Network optimized = input;
+  opt::PassContext ctx;
+  opt::PassManager::from_script("bds").run(optimized, {}, ctx);
+  const core::DecomposeStats& dec = ctx.state<opt::BdsFlowState>().decompose;
   std::cout << "bds: " << optimized.num_logic_nodes() << " gates after "
-            << stats.decompose.total() << " decompositions ("
-            << stats.decompose.x_dominator << " x-dominator, "
-            << stats.decompose.functional_mux << " functional-MUX, "
-            << stats.decompose.one_dominator + stats.decompose.zero_dominator
-            << " simple AND/OR)\n";
+            << dec.total() << " decompositions (" << dec.x_dominator
+            << " x-dominator, " << dec.functional_mux << " functional-MUX, "
+            << dec.one_dominator + dec.zero_dominator << " simple AND/OR)\n";
   std::cout << net::to_blif_string(optimized);
 
   // --- technology mapping onto the MCNC-like library ---

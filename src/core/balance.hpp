@@ -5,8 +5,8 @@
 // Associative chains (AND/OR/XOR/XNOR) in the forest are flattened into
 // operand lists and rebuilt as depth-balanced trees, combining the
 // shallowest operands first (Huffman-style), which minimizes the depth of
-// the rebuilt chain. Disabled by default in the flow to stay faithful to
-// the paper's system; enable through BdsOptions::balance.
+// the rebuilt chain. The registered `bds` flow runs it as the `bds_balance`
+// pass; a script without that pass is the paper's system as published.
 #pragma once
 
 #include <cstddef>

@@ -9,28 +9,6 @@ using bdd::Bdd;
 using bdd::Var;
 using net::NodeId;
 
-namespace {
-
-/// Builds the local BDD of one network node over its fanins' variables.
-Bdd local_bdd(const net::Network& net, bdd::Manager& mgr, NodeId id,
-              const std::vector<Var>& var_of) {
-  const net::Node& n = net.node(id);
-  Bdd f = mgr.zero();
-  for (const sop::Cube& c : n.func.cubes()) {
-    Bdd term = mgr.one();
-    for (unsigned i = 0; i < c.num_vars(); ++i) {
-      const sop::Literal l = c.get(i);
-      if (l == sop::Literal::kAbsent) continue;
-      const Var v = var_of[n.fanins[i]];
-      term = term & (l == sop::Literal::kPos ? mgr.var(v) : mgr.nvar(v));
-    }
-    f = f | term;
-  }
-  return f;
-}
-
-}  // namespace
-
 PartitionResult partition_network(const net::Network& net, bdd::Manager& mgr,
                                   const EliminateOptions& opts) {
   PartitionResult result;
@@ -48,7 +26,11 @@ PartitionResult partition_network(const net::Network& net, bdd::Manager& mgr,
   std::vector<Bdd> func(net.raw_size());
   std::vector<bool> alive(net.raw_size(), false);
   for (const NodeId id : order) {
-    func[id] = local_bdd(net, mgr, id, result.var_of);
+    // The local BDD of each node, over its fanins' variables.
+    const net::Node& n = net.node(id);
+    func[id] = sop::eval_cover(n.func, mgr.zero(), mgr.one(), [&](unsigned i) {
+      return mgr.var(result.var_of[n.fanins[i]]);
+    });
     alive[id] = true;
   }
 

@@ -181,10 +181,9 @@ PipelineStats PassManager::run(net::Network& net,
   if (options.thread_pool) ctx.set_thread_pool(options.thread_pool);
 
   // Telemetry: the whole run is one "pipeline" span; each pass gets a
-  // "pass[i]:<name>" child span that mirrors its PassStats (reserved
-  // counter names, see aggregate_pipeline_stats) so a trace alone can
-  // reproduce the -stats table. With no telemetry installed every span
-  // here is inert and free.
+  // "pass[i]:<name>" child span that mirrors its PassStats, so a trace
+  // alone carries every -stats column. With no telemetry installed every
+  // span here is inert and free.
   util::Telemetry* telemetry = options.telemetry.get();
   ctx.set_telemetry(telemetry);
   util::TelemetrySpan pipeline_span =
@@ -276,83 +275,6 @@ PipelineStats PassManager::run(net::Network& net,
   pipeline_span.close();
   ctx.set_telemetry(nullptr);
   return stats;
-}
-
-namespace {
-
-// Reserved counter keys of a manager-emitted pass span: these mirror
-// PassStats fields and are stripped back out by aggregate_pipeline_stats;
-// everything else in the span is a pass-reported counter. Passes must not
-// report counters under these names (none do).
-bool is_reserved_pass_counter(std::string_view key) {
-  return key == "nodes_before" || key == "nodes_after" ||
-         key == "lits_before" || key == "lits_after" ||
-         key == "depth_before" || key == "depth_after" || key == "check" ||
-         key == "outcome" || key == "seconds";
-}
-
-}  // namespace
-
-PipelineStats aggregate_pipeline_stats(
-    const std::vector<util::SpanEvent>& events) {
-  PipelineStats out;
-  for (const util::SpanEvent& e : events) {
-    if (e.depth == 0) {
-      // The run root ("pipeline"): totals live here.
-      for (const auto& [k, v] : e.counters) {
-        if (k == "check_failures") out.check_failures = static_cast<std::size_t>(v);
-        if (k == "degraded_passes") {
-          out.degraded_passes = static_cast<std::size_t>(v);
-        }
-      }
-      for (const auto& [k, v] : e.exec_counters) {
-        if (k == "seconds") out.seconds_total = v;
-      }
-      continue;
-    }
-    if (e.depth != 1 || e.name.rfind("pass[", 0) != 0) continue;
-    PassStats ps;
-    const std::size_t colon = e.name.find("]:");
-    ps.name = colon == std::string::npos ? e.name : e.name.substr(colon + 2);
-    for (const auto& [k, v] : e.exec_attrs) {
-      if (k == "args") ps.args = v;
-    }
-    // Deterministic counters: reserved names rebuild the PassStats fields,
-    // the rest are the pass's own counters in report order.
-    for (const auto& [k, v] : e.counters) {
-      if (k == "nodes_before") {
-        ps.nodes_before = static_cast<std::size_t>(v);
-      } else if (k == "nodes_after") {
-        ps.nodes_after = static_cast<std::size_t>(v);
-      } else if (k == "lits_before") {
-        ps.lits_before = static_cast<unsigned>(v);
-      } else if (k == "lits_after") {
-        ps.lits_after = static_cast<unsigned>(v);
-      } else if (k == "depth_before") {
-        ps.depth_before = static_cast<unsigned>(v);
-      } else if (k == "depth_after") {
-        ps.depth_after = static_cast<unsigned>(v);
-      } else if (k == "check") {
-        ps.check = static_cast<PassStats::Check>(static_cast<int>(v));
-      } else if (k == "outcome") {
-        ps.outcome = static_cast<PassStats::Outcome>(static_cast<int>(v));
-      } else if (!is_reserved_pass_counter(k)) {
-        ps.counters.emplace_back(k, v);
-      }
-    }
-    // Execution-dependent counters: "seconds" is the pass wall time; the
-    // rest (workers, par_seconds_*) are pass counters that passes report
-    // last, so appending keeps the original report order.
-    for (const auto& [k, v] : e.exec_counters) {
-      if (k == "seconds") {
-        ps.seconds = v;
-      } else {
-        ps.counters.emplace_back(k, v);
-      }
-    }
-    out.passes.push_back(std::move(ps));
-  }
-  return out;
 }
 
 std::string format_pass_table(const PipelineStats& stats) {

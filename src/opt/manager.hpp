@@ -82,15 +82,6 @@ using ScriptParams = std::vector<std::pair<std::string, std::string>>;
 /// output of `optimize_blif`, shared by both flows).
 std::string format_pass_table(const PipelineStats& stats);
 
-/// Rebuilds a PipelineStats from telemetry span events (the depth-1
-/// "pass[i]:<name>" spans an AggregateSink collected), inverting the
-/// counter encoding PassManager::run uses when it mirrors PassStats into
-/// the pass span. `format_pass_table(aggregate_pipeline_stats(events))`
-/// therefore reproduces the `-stats` table from a trace alone --
-/// test_telemetry asserts it matches the directly returned stats exactly.
-[[nodiscard]] PipelineStats aggregate_pipeline_stats(
-    const std::vector<util::SpanEvent>& events);
-
 class PassManager {
  public:
   PassManager() = default;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "opt/flows.hpp"
-
 namespace bds::opt {
 
 PassRegistry& PassRegistry::instance() {
@@ -13,15 +11,26 @@ PassRegistry& PassRegistry::instance() {
     register_sis_passes(*r);
     register_bds_passes(*r);
     register_map_passes(*r);
-    r->add_script("rugged", rugged_script());
-    // "sis": the leaner mini-SIS baseline (rugged without the closing
-    // full_simplify round) -- the third column of the paper-reproduction
-    // mapping benchmarks.
-    r->add_script("sis", mini_sis_script());
-    r->add_script("bds", default_bds_script(),
+    // The flows are their script texts; these literals are their only
+    // definition. "bds" is the paper's Fig. 12 pipeline. "rugged" is SIS's
+    // script.rugged: sweep/eliminate/simplify, then extraction and
+    // resubstitution, a cleanup round, and the closing full_simplify (which
+    // gives up by itself on BDD-infeasible circuits). "sis" is the leaner
+    // mini-SIS baseline -- rugged without that closing full_simplify round
+    // -- the third column of the paper-reproduction mapping benchmarks.
+    r->add_script("bds",
+                  "sweep; bds_partition; bds_decompose; bds_sharing; "
+                  "bds_balance; bds_emit; sweep",
                   {{"jobs", "bds_decompose", "-j"},
                    {"max_cuts", "bds_decompose", "-max_cuts"},
                    {"threshold", "bds_partition", "-t"}});
+    r->add_script("rugged",
+                  "sweep; eliminate -1; simplify; sweep; eliminate 5; gkx; "
+                  "resub; gkx; sweep; eliminate -1; simplify; sweep; "
+                  "full_simplify; sweep");
+    r->add_script("sis",
+                  "sweep; eliminate -1; simplify; sweep; eliminate 5; gkx; "
+                  "resub; gkx; sweep; eliminate -1; simplify; sweep");
     return r;
   }();
   return *registry;

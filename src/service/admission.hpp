@@ -49,10 +49,9 @@ namespace bds::service {
 
 /// One admitted request parked between its socket thread and the executor
 /// that will run it. The socket thread blocks on the promise's future and
-/// writes whatever lands there back to the peer in the peer's revision.
+/// writes whatever lands there back to the peer.
 struct PendingRequest {
   OptimizeRequest request;
-  std::uint8_t revision = kProtocolRevision;  ///< frame revision of the peer
   std::chrono::steady_clock::time_point arrival{};  ///< socket read time
   std::size_t bytes = 0;  ///< payload size charged against the byte ceiling
   std::promise<OptimizeResponse> promise;

@@ -75,14 +75,13 @@ OptimizeResponse Client::optimize(const OptimizeRequest& request) {
               encode_optimize_request(request));
   FrameType type{};
   std::string payload;
-  std::uint8_t revision = kProtocolRevision;
-  if (!read_frame(fd_, type, payload, revision)) {
+  if (!read_frame(fd_, type, payload)) {
     throw Error("bds-client: daemon closed the connection without a reply");
   }
   if (type != FrameType::kOptimizeResponse) {
     throw SerializeError("bds-client: expected an optimize response frame");
   }
-  return decode_optimize_response(payload, revision);
+  return decode_optimize_response(payload);
 }
 
 OptimizeResponse Client::optimize_with_retry(const OptimizeRequest& request,
@@ -120,14 +119,13 @@ ServerStats Client::server_stats() {
   write_frame(fd_, FrameType::kServerStatsRequest, std::string());
   FrameType type{};
   std::string payload;
-  std::uint8_t revision = kProtocolRevision;
-  if (!read_frame(fd_, type, payload, revision)) {
+  if (!read_frame(fd_, type, payload)) {
     throw Error("bds-client: daemon closed the connection without a reply");
   }
   if (type != FrameType::kServerStatsResponse) {
     throw SerializeError("bds-client: expected a server-stats response frame");
   }
-  return decode_server_stats(payload, revision);
+  return decode_server_stats(payload);
 }
 
 }  // namespace bds::service

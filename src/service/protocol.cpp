@@ -76,10 +76,9 @@ class Reader {
     pos_ += n;
     return s;
   }
-  /// Decoders call this last: leftover bytes mean the peer speaks a newer
-  /// dialect of *this* revision (or the frame is corrupt) -- reject rather
-  /// than guess. Genuinely newer fields arrive under a higher revision
-  /// byte, which read_frame() already rejected by name.
+  /// Decoders call this last: leftover bytes mean the frame is corrupt (or
+  /// the peer speaks another dialect under the same revision byte) --
+  /// reject rather than guess.
   void done() const {
     if (pos_ != bytes_.size()) {
       throw SerializeError("bdsd protocol: trailing bytes after payload");
@@ -95,15 +94,6 @@ class Reader {
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
-
-void check_revision(std::uint8_t revision) {
-  if (revision < 1 || revision > kProtocolRevision) {
-    throw SerializeError(
-        "bdsd protocol: peer speaks revision " + std::to_string(revision) +
-        ", this build speaks revisions 1.." +
-        std::to_string(kProtocolRevision));
-  }
-}
 
 void write_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
@@ -140,9 +130,7 @@ bool read_all(int fd, char* data, std::size_t n, bool eof_ok) {
 
 }  // namespace
 
-std::string encode_optimize_request(const OptimizeRequest& req,
-                                    std::uint8_t revision) {
-  check_revision(revision);
+std::string encode_optimize_request(const OptimizeRequest& req) {
   std::string out;
   put_str(out, req.blif);
   put_str(out, req.options.script);
@@ -154,20 +142,14 @@ std::string encode_optimize_request(const OptimizeRequest& req,
   if (req.options.bypass_cache) flags |= kFlagBypassCache;
   if (req.options.check) flags |= kFlagCheck;
   put_u8(out, flags);
-  if (revision >= 2) {
-    put_u64(out, req.options.deadline_ms);
-    put_u8(out, req.options.priority);
-  }
-  if (revision >= 3) {
-    put_str(out, req.options.map_lib);
-    put_u32(out, req.options.lut_k);
-  }
+  put_u64(out, req.options.deadline_ms);
+  put_u8(out, req.options.priority);
+  put_str(out, req.options.map_lib);
+  put_u32(out, req.options.lut_k);
   return out;
 }
 
-OptimizeRequest decode_optimize_request(const std::string& payload,
-                                        std::uint8_t revision) {
-  check_revision(revision);
+OptimizeRequest decode_optimize_request(const std::string& payload) {
   Reader r(payload);
   OptimizeRequest req;
   req.blif = r.str();
@@ -177,14 +159,10 @@ OptimizeRequest decode_optimize_request(const std::string& payload,
   req.options.time_limit_ms = r.u64();
   req.options.jobs = r.u32();
   const std::uint8_t flags = r.u8();
-  if (revision >= 2) {
-    req.options.deadline_ms = r.u64();
-    req.options.priority = r.u8();
-  }
-  if (revision >= 3) {
-    req.options.map_lib = r.str();
-    req.options.lut_k = r.u32();
-  }
+  req.options.deadline_ms = r.u64();
+  req.options.priority = r.u8();
+  req.options.map_lib = r.str();
+  req.options.lut_k = r.u32();
   r.done();
   constexpr std::uint8_t known = kFlagBypassCache | kFlagCheck;
   if ((flags & ~known) != 0) {
@@ -202,9 +180,7 @@ OptimizeRequest decode_optimize_request(const std::string& payload,
   return req;
 }
 
-std::string encode_optimize_response(const OptimizeResponse& resp,
-                                     std::uint8_t revision) {
-  check_revision(revision);
+std::string encode_optimize_response(const OptimizeResponse& resp) {
   std::string out;
   put_u8(out, static_cast<std::uint8_t>(resp.status));
   put_u64(out, resp.request_id);
@@ -213,21 +189,15 @@ std::string encode_optimize_response(const OptimizeResponse& resp,
   put_str(out, resp.stats_table);
   put_u64(out, resp.cache_hits);
   put_u64(out, resp.cache_misses);
-  if (revision >= 2) put_u32(out, resp.retry_after_ms);
+  put_u32(out, resp.retry_after_ms);
   return out;
 }
 
-OptimizeResponse decode_optimize_response(const std::string& payload,
-                                          std::uint8_t revision) {
-  check_revision(revision);
+OptimizeResponse decode_optimize_response(const std::string& payload) {
   Reader r(payload);
   OptimizeResponse resp;
   const std::uint8_t status = r.u8();
-  // kOverloaded/kShuttingDown joined in rev 2; a rev-1 frame carrying them
-  // is corrupt (servers map them to kInternalError for rev-1 peers).
-  const auto max_status = static_cast<std::uint8_t>(
-      revision >= 2 ? Status::kShuttingDown : Status::kInternalError);
-  if (status > max_status) {
+  if (status > static_cast<std::uint8_t>(Status::kShuttingDown)) {
     throw SerializeError("bdsd protocol: unknown response status");
   }
   resp.status = static_cast<Status>(status);
@@ -237,14 +207,12 @@ OptimizeResponse decode_optimize_response(const std::string& payload,
   resp.stats_table = r.str();
   resp.cache_hits = r.u64();
   resp.cache_misses = r.u64();
-  if (revision >= 2) resp.retry_after_ms = r.u32();
+  resp.retry_after_ms = r.u32();
   r.done();
   return resp;
 }
 
-std::string encode_server_stats(const ServerStats& stats,
-                                std::uint8_t revision) {
-  check_revision(revision);
+std::string encode_server_stats(const ServerStats& stats) {
   std::string out;
   put_u64(out, stats.requests);
   put_u64(out, stats.cache_hits);
@@ -255,22 +223,18 @@ std::string encode_server_stats(const ServerStats& stats,
   put_u64(out, stats.cache_bytes);
   put_u64(out, stats.pool_idle);
   put_u64(out, stats.pool_constructed);
-  if (revision >= 2) {
-    put_u64(out, stats.admitted);
-    put_u64(out, stats.sheds);
-    put_u64(out, stats.deadline_rejects);
-    put_u64(out, stats.drained);
-    put_u64(out, stats.queue_depth);
-    put_u64(out, stats.queue_bytes);
-    put_u64(out, stats.in_flight);
-    put_u64(out, stats.draining);
-  }
+  put_u64(out, stats.admitted);
+  put_u64(out, stats.sheds);
+  put_u64(out, stats.deadline_rejects);
+  put_u64(out, stats.drained);
+  put_u64(out, stats.queue_depth);
+  put_u64(out, stats.queue_bytes);
+  put_u64(out, stats.in_flight);
+  put_u64(out, stats.draining);
   return out;
 }
 
-ServerStats decode_server_stats(const std::string& payload,
-                                std::uint8_t revision) {
-  check_revision(revision);
+ServerStats decode_server_stats(const std::string& payload) {
   Reader r(payload);
   ServerStats stats;
   stats.requests = r.u64();
@@ -282,36 +246,31 @@ ServerStats decode_server_stats(const std::string& payload,
   stats.cache_bytes = r.u64();
   stats.pool_idle = r.u64();
   stats.pool_constructed = r.u64();
-  if (revision >= 2) {
-    stats.admitted = r.u64();
-    stats.sheds = r.u64();
-    stats.deadline_rejects = r.u64();
-    stats.drained = r.u64();
-    stats.queue_depth = r.u64();
-    stats.queue_bytes = r.u64();
-    stats.in_flight = r.u64();
-    stats.draining = r.u64();
-  }
+  stats.admitted = r.u64();
+  stats.sheds = r.u64();
+  stats.deadline_rejects = r.u64();
+  stats.drained = r.u64();
+  stats.queue_depth = r.u64();
+  stats.queue_bytes = r.u64();
+  stats.in_flight = r.u64();
+  stats.draining = r.u64();
   r.done();
   return stats;
 }
 
-void write_frame(int fd, FrameType type, const std::string& payload,
-                 std::uint8_t revision) {
-  check_revision(revision);
+void write_frame(int fd, FrameType type, const std::string& payload) {
   if (payload.size() > kMaxFramePayload) {
     throw SerializeError("bdsd protocol: frame payload exceeds ceiling");
   }
   std::string header;
   put_u32(header, static_cast<std::uint32_t>(payload.size()));
-  if (revision >= 2) put_u8(header, kRevisionMarker | revision);
+  put_u8(header, kRevisionMarker | kProtocolRevision);
   put_u8(header, static_cast<std::uint8_t>(type));
   write_all(fd, header.data(), header.size());
   write_all(fd, payload.data(), payload.size());
 }
 
-bool read_frame(int fd, FrameType& type, std::string& payload,
-                std::uint8_t& revision) {
+bool read_frame(int fd, FrameType& type, std::string& payload) {
   char header[5];
   if (!read_all(fd, header, sizeof header, /*eof_ok=*/true)) return false;
   std::uint32_t length = 0;
@@ -322,24 +281,21 @@ bool read_frame(int fd, FrameType& type, std::string& payload,
   if (length > kMaxFramePayload) {
     throw SerializeError("bdsd protocol: announced frame exceeds ceiling");
   }
-  std::uint8_t t = static_cast<std::uint8_t>(header[4]);
-  if ((t & 0xF0u) == kRevisionMarker) {
-    // Versioned frame: the marker's low nibble is the revision, the type
-    // byte follows. Reject a revision we do not speak *by name*, so a
-    // future operator can tell a version skew from corruption.
-    revision = t & 0x0Fu;
-    if (revision < 2 || revision > kProtocolRevision) {
-      throw SerializeError(
-          "bdsd protocol: peer sent a revision-" + std::to_string(revision) +
-          " frame, this build speaks revision 2.." +
-          std::to_string(kProtocolRevision) + " (and legacy revision 1)");
-    }
-    char type_byte = 0;
-    read_all(fd, &type_byte, 1, /*eof_ok=*/false);
-    t = static_cast<std::uint8_t>(type_byte);
-  } else {
-    revision = 1;
+  const auto marker = static_cast<std::uint8_t>(header[4]);
+  if (marker != (kRevisionMarker | kProtocolRevision)) {
+    // Name what the peer sent, so a version skew reads differently from
+    // corruption: a bare type byte here is an unversioned revision-1 frame.
+    const std::string sent =
+        (marker & 0xF0u) == kRevisionMarker
+            ? "a revision-" + std::to_string(marker & 0x0Fu) + " frame"
+            : "an unversioned (revision-1) or corrupt frame header";
+    throw SerializeError("bdsd protocol: peer sent " + sent +
+                         ", this build speaks revision " +
+                         std::to_string(kProtocolRevision));
   }
+  char type_byte = 0;
+  read_all(fd, &type_byte, 1, /*eof_ok=*/false);
+  const auto t = static_cast<std::uint8_t>(type_byte);
   if (t < static_cast<std::uint8_t>(FrameType::kOptimizeRequest) ||
       t > static_cast<std::uint8_t>(FrameType::kServerStatsResponse)) {
     throw SerializeError("bdsd protocol: unknown frame type");
@@ -348,11 +304,6 @@ bool read_frame(int fd, FrameType& type, std::string& payload,
   payload.resize(length);
   if (length > 0) read_all(fd, payload.data(), length, /*eof_ok=*/false);
   return true;
-}
-
-bool read_frame(int fd, FrameType& type, std::string& payload) {
-  std::uint8_t revision = 0;
-  return read_frame(fd, type, payload, revision);
 }
 
 }  // namespace bds::service

@@ -1,26 +1,16 @@
 // Wire protocol of the bdsd optimization daemon.
 //
 // Transport: a Unix-domain stream socket carrying length-prefixed frames.
-// The protocol is versioned by a revision byte in the frame header.
-// A revision-1 frame (the original, unversioned format) is
+// Every frame is
 //
-//     u32 payload_length (little-endian) | u8 type | payload bytes
+//     u32 payload_length (little-endian) | u8 (0xB0 | revision) | u8 type |
+//     payload bytes
 //
-// where type is 1..4. A revision-2 frame inserts a revision marker whose
-// high nibble (0xB0, outside the rev-1 type range) distinguishes it from
-// any rev-1 type byte:
-//
-//     u32 payload_length | u8 (0xB0 | revision) | u8 type | payload bytes
-//
-// read_frame() accepts both: a header byte in 1..4 is a rev-1 frame, a
-// byte with high nibble 0xB is a versioned frame whose revision must be
-// one this build speaks, 2..kProtocolRevision (an unknown revision raises
-// SerializeError naming both revisions), anything else is corrupt. Every
-// codec takes the frame's revision, so newer fields -- the rev-2
-// deadline_ms/priority/retry_after_ms and admission counters, the rev-3
-// technology-mapping options (map_lib, lut_k) -- are simply absent,
-// defaulting to zero, when the peer speaks an older revision, instead of
-// being silent trailing-bytes errors.
+// and this build speaks exactly one revision, kProtocolRevision. Client and
+// daemon ship together, so read_frame() rejects any other marker byte --
+// an older peer's bare `length | type` header or a rev-2 marker alike --
+// with a SerializeError that names the revision this build speaks, which
+// tells a version skew apart from corruption.
 //
 // Every multi-byte integer inside a payload is little-endian, so the
 // format is host-order independent (unlike the BDD manager image, which is
@@ -31,9 +21,8 @@
 // validation.
 //
 // The exchange is strict request/response: a client sends kOptimizeRequest
-// or kServerStatsRequest and reads exactly one response frame, which the
-// server encodes in the revision the request arrived in. Connections may
-// carry any number of such exchanges before either side closes.
+// or kServerStatsRequest and reads exactly one response frame. Connections
+// may carry any number of such exchanges before either side closes.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +32,14 @@
 
 namespace bds::service {
 
-/// The protocol revision this build speaks (and writes by default).
+/// The protocol revision this build speaks.
 inline constexpr std::uint8_t kProtocolRevision = 3;
 
-/// High nibble of the header byte that marks a versioned (rev >= 2) frame;
-/// the low nibble carries the revision. Rev-1 frames have no marker --
-/// their header byte is the FrameType itself, and 1..4 never collides
-/// with 0xB?.
+/// High nibble of the header byte after the length prefix; the low nibble
+/// carries the revision.
 inline constexpr std::uint8_t kRevisionMarker = 0xB0;
 
-/// Frame type tags (the u8 after the length prefix / revision marker).
+/// Frame type tags (the u8 after the revision marker).
 enum class FrameType : std::uint8_t {
   kOptimizeRequest = 1,
   kOptimizeResponse = 2,
@@ -79,9 +66,7 @@ struct OptimizeRequest {
 
 /// Status codes of OptimizeResponse, aligned with the optimize_blif exit
 /// codes so scripted callers can share the mapping. kOverloaded and
-/// kShuttingDown exist only at the service layer (rev-2 peers; a rev-1
-/// peer receives them mapped to kInternalError with an explanatory
-/// message, since its decoder predates them).
+/// kShuttingDown exist only at the service layer.
 enum class Status : std::uint8_t {
   kOk = 0,         ///< optimized, all checkpoints passed
   kDegraded = 1,   ///< correct result, but a budget forced fallbacks
@@ -110,8 +95,6 @@ struct OptimizeResponse {
 };
 
 /// Aggregate daemon counters (kServerStatsRequest has an empty payload).
-/// The admission-layer fields are rev-2-only on the wire; a rev-1 peer
-/// receives the first nine fields exactly as before.
 struct ServerStats {
   std::uint64_t requests = 0;  ///< optimize requests accepted so far
   std::uint64_t cache_hits = 0;
@@ -122,7 +105,7 @@ struct ServerStats {
   std::uint64_t cache_bytes = 0;
   std::uint64_t pool_idle = 0;         ///< ManagerPool managers parked
   std::uint64_t pool_constructed = 0;  ///< managers ever constructed
-  // Admission layer (rev 2; see service/admission.hpp and DESIGN.md §5h).
+  // Admission layer (see service/admission.hpp and DESIGN.md §5h).
   std::uint64_t admitted = 0;          ///< requests accepted into the queue
   std::uint64_t sheds = 0;             ///< requests answered kOverloaded
   std::uint64_t deadline_rejects = 0;  ///< expired before an executor ran them
@@ -134,47 +117,32 @@ struct ServerStats {
 };
 
 // --- Payload codecs (frame body, excluding the length/type header). ---
-// Encoders produce the payload bytes of the given protocol revision;
-// decoders validate exhaustively against that revision and throw
-// bds::SerializeError on truncation, trailing bytes, or a field out of
-// range. They are pure byte transforms, usable without a socket (the unit
-// tests round-trip them through strings).
+// Decoders validate exhaustively and throw bds::SerializeError on
+// truncation, trailing bytes, or a field out of range. They are pure byte
+// transforms, usable without a socket (the unit tests round-trip them
+// through strings).
 
-std::string encode_optimize_request(const OptimizeRequest& req,
-                                    std::uint8_t revision = kProtocolRevision);
-OptimizeRequest decode_optimize_request(
-    const std::string& payload, std::uint8_t revision = kProtocolRevision);
+std::string encode_optimize_request(const OptimizeRequest& req);
+OptimizeRequest decode_optimize_request(const std::string& payload);
 
-std::string encode_optimize_response(
-    const OptimizeResponse& resp, std::uint8_t revision = kProtocolRevision);
-OptimizeResponse decode_optimize_response(
-    const std::string& payload, std::uint8_t revision = kProtocolRevision);
+std::string encode_optimize_response(const OptimizeResponse& resp);
+OptimizeResponse decode_optimize_response(const std::string& payload);
 
-std::string encode_server_stats(const ServerStats& stats,
-                                std::uint8_t revision = kProtocolRevision);
-ServerStats decode_server_stats(const std::string& payload,
-                                std::uint8_t revision = kProtocolRevision);
+std::string encode_server_stats(const ServerStats& stats);
+ServerStats decode_server_stats(const std::string& payload);
 
 // --- Framed socket I/O. ---
 
-/// Writes one frame to `fd` in the given protocol revision (rev 1 = bare
-/// `length | type`, rev >= 2 = `length | marker | type`), handling short
-/// writes and EINTR. Throws bds::SerializeError when the payload exceeds
-/// kMaxFramePayload and bds::Error on a socket write failure.
-void write_frame(int fd, FrameType type, const std::string& payload,
-                 std::uint8_t revision = kProtocolRevision);
+/// Writes one frame to `fd`, handling short writes and EINTR. Throws
+/// bds::SerializeError when the payload exceeds kMaxFramePayload and
+/// bds::Error on a socket write failure.
+void write_frame(int fd, FrameType type, const std::string& payload);
 
-/// Reads one frame from `fd`, storing the revision it arrived in (1 for an
-/// unversioned legacy frame). Returns false on clean EOF at a frame
+/// Reads one frame from `fd`. Returns false on clean EOF at a frame
 /// boundary (the peer closed); throws bds::SerializeError on a torn frame,
-/// an oversized length, an unknown frame type, or a versioned frame whose
-/// revision this build does not speak (the message names both revisions);
-/// bds::Error on a read failure.
-bool read_frame(int fd, FrameType& type, std::string& payload,
-                std::uint8_t& revision);
-
-/// Convenience overload for callers that only ever speak the current
-/// revision (discards the peer's revision).
+/// an oversized length, an unknown frame type, or a header that is not
+/// this build's revision marker (the message names the revision this
+/// build speaks); bds::Error on a read failure.
 bool read_frame(int fd, FrameType& type, std::string& payload);
 
 }  // namespace bds::service

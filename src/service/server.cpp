@@ -28,29 +28,6 @@ namespace {
   throw Error("bdsd: " + what + ": " + std::strerror(errno));
 }
 
-/// Translates a response into what the peer's protocol revision can carry:
-/// rev-1 decoders predate kOverloaded/kShuttingDown, so those become
-/// kInternalError with the admission verdict spelled out in the message
-/// (the one lossy edge of rev-1 compatibility; everything else round-trips
-/// exactly).
-OptimizeResponse for_revision(OptimizeResponse response,
-                              std::uint8_t revision) {
-  if (revision >= 2) return response;
-  if (response.status == Status::kOverloaded ||
-      response.status == Status::kShuttingDown) {
-    const char* verdict = response.status == Status::kOverloaded
-                              ? "overloaded"
-                              : "shutting down";
-    response.error = std::string("server ") + verdict +
-                     " (reported as internal error to this revision-1 "
-                     "client): " +
-                     response.error;
-    response.status = Status::kInternalError;
-    response.retry_after_ms = 0;
-  }
-  return response;
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -191,20 +168,14 @@ void Server::serve_connection(Connection* conn) {
   try {
     FrameType type{};
     std::string payload;
-    std::uint8_t revision = kProtocolRevision;
-    // Every response goes back in the revision its request arrived in.
-    const auto send = [&](OptimizeResponse response) {
-      write_frame(
-          fd, FrameType::kOptimizeResponse,
-          encode_optimize_response(for_revision(std::move(response), revision),
-                                   revision),
-          revision);
+    const auto send = [&](const OptimizeResponse& response) {
+      write_frame(fd, FrameType::kOptimizeResponse,
+                  encode_optimize_response(response));
     };
-    while (read_frame(fd, type, payload, revision)) {
+    while (read_frame(fd, type, payload)) {
       if (type == FrameType::kOptimizeRequest) {
         auto item = std::make_shared<PendingRequest>();
-        item->request = decode_optimize_request(payload, revision);
-        item->revision = revision;
+        item->request = decode_optimize_request(payload);
         item->arrival = std::chrono::steady_clock::now();
         item->bytes = payload.size();
         std::future<OptimizeResponse> result = item->promise.get_future();
@@ -231,7 +202,7 @@ void Server::serve_connection(Connection* conn) {
                 "server overloaded: pending-request queue is full; retry "
                 "after ~" +
                 std::to_string(response.retry_after_ms) + " ms";
-            send(std::move(response));
+            send(response);
             break;
           }
           case AdmitResult::kShuttingDown: {
@@ -239,13 +210,13 @@ void Server::serve_connection(Connection* conn) {
             response.status = Status::kShuttingDown;
             response.error =
                 "server is shutting down; no new work is admitted";
-            send(std::move(response));
+            send(response);
             break;
           }
         }
       } else if (type == FrameType::kServerStatsRequest) {
         write_frame(fd, FrameType::kServerStatsResponse,
-                    encode_server_stats(stats(), revision), revision);
+                    encode_server_stats(stats()));
       } else {
         break;  // a peer sending *response* frames is confused; hang up
       }

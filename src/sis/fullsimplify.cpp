@@ -74,20 +74,14 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
   const auto order = net.topo_order();
   bool reordered = false;
   for (const NodeId id : order) {
+    // Covers are built whole and the cap is checked between nodes (as in
+    // verify/cec.cpp): a function cut off mid-cover would outlive a later
+    // sift that brings the count back under the cap, and every don't-care
+    // set derived from it would be wrong.
     const net::Node& n = net.node(id);
-    Bdd f = mgr.zero();
-    for (const sop::Cube& c : n.func.cubes()) {
-      Bdd term = mgr.one();
-      for (unsigned i = 0; i < c.num_vars(); ++i) {
-        const sop::Literal l = c.get(i);
-        if (l == sop::Literal::kAbsent) continue;
-        const Bdd& in = global[n.fanins[i]];
-        term = term & (l == sop::Literal::kPos ? in : !in);
-      }
-      f = f | term;
-      if (mgr.live_nodes() > opts.max_manager_nodes) break;
-    }
-    global[id] = f;
+    global[id] = sop::eval_cover(
+        n.func, mgr.zero(), mgr.one(),
+        [&](unsigned i) -> const Bdd& { return global[n.fanins[i]]; });
     if (mgr.live_nodes() > opts.reorder_threshold && !reordered) {
       // Dynamic variable reordering, as SIS does when global BDDs grow
       // (datapath circuits like rotators need control-before-data orders).

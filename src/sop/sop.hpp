@@ -81,4 +81,25 @@ class Sop {
   std::vector<Cube> cubes_;
 };
 
+/// The cover's function in any Boolean algebra whose values support `&`,
+/// `|` and `!`: the OR over cubes of the AND of their literals, `in(i)`
+/// giving the value of variable i. This is how every global or local BDD
+/// is built from a network node's cover -- with `in` mapping a fanin
+/// position to that fanin's BDD -- and, being a template, it costs this
+/// library no dependency on the BDD package.
+template <class T, class In>
+T eval_cover(const Sop& cover, T zero, const T& one, In&& in) {
+  T f = std::move(zero);
+  for (const Cube& c : cover.cubes()) {
+    T term = one;
+    for (unsigned i = 0; i < c.num_vars(); ++i) {
+      const Literal l = c.get(i);
+      if (l == Literal::kAbsent) continue;
+      term = term & (l == Literal::kPos ? in(i) : !in(i));
+    }
+    f = f | term;
+  }
+  return f;
+}
+
 }  // namespace bds::sop

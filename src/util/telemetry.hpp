@@ -278,9 +278,7 @@ class JsonlSink final : public TelemetrySink {
 };
 
 /// Buffers every event in memory and renders human-readable summaries:
-/// `format_profile()` is the `-profile` report of `optimize_blif`. The
-/// pass-layer helper `opt::aggregate_pipeline_stats` rebuilds the `-stats`
-/// table from the same events (opt/manager.hpp).
+/// `format_profile()` is the `-profile` report of `optimize_blif`.
 class AggregateSink final : public TelemetrySink {
  public:
   void on_span(const SpanEvent& event) override { events_.push_back(event); }

@@ -27,18 +27,9 @@ std::unordered_map<std::string, Bdd> global_bdds(
   }
   for (const NodeId id : net.topo_order()) {
     const net::Node& n = net.node(id);
-    Bdd f = mgr.zero();
-    for (const sop::Cube& c : n.func.cubes()) {
-      Bdd term = mgr.one();
-      for (unsigned i = 0; i < c.num_vars(); ++i) {
-        const sop::Literal l = c.get(i);
-        if (l == sop::Literal::kAbsent) continue;
-        const Bdd& in = value[n.fanins[i]];
-        term = term & (l == sop::Literal::kPos ? in : !in);
-      }
-      f = f | term;
-    }
-    value[id] = f;
+    value[id] = sop::eval_cover(
+        n.func, mgr.zero(), mgr.one(),
+        [&](unsigned i) -> const Bdd& { return value[n.fanins[i]]; });
     // Dynamic reordering under pressure keeps datapath circuits
     // (rotators, selectors) verifiable. Re-sift whenever the table grows
     // well past the previous post-sift size; sifting while small is cheap.

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
+#include "opt/manager.hpp"
 #include "util/rng.hpp"
 #include "verify/cec.hpp"
 
@@ -111,12 +111,12 @@ TEST(Balance, RandomForestsPreserveSemantics) {
 
 TEST(Balance, FlowWithBalancingShrinksParityDepth) {
   const net::Network input = gen::parity_tree(32);
-  BdsOptions with;
-  with.balance = true;
-  BdsOptions without;
-  without.balance = false;
-  const net::Network balanced = bds_optimize(input, with);
-  const net::Network plain = bds_optimize(input, without);
+  net::Network balanced = input;
+  opt::PassManager::from_script("bds").run(balanced);
+  net::Network plain = input;
+  opt::PassManager::from_script(
+      "sweep; bds_partition; bds_decompose; bds_sharing; bds_emit; sweep")
+      .run(plain);
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, balanced)));
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, plain)));
   EXPECT_LE(balanced.depth(), plain.depth());
@@ -125,9 +125,8 @@ TEST(Balance, FlowWithBalancingShrinksParityDepth) {
 
 TEST(Balance, FlowStaysEquivalentOnArithmetic) {
   const net::Network input = gen::ripple_adder(8);
-  BdsOptions opts;
-  opts.balance = true;
-  const net::Network out = bds_optimize(input, opts);
+  net::Network out = input;
+  opt::PassManager::from_script("bds").run(out);
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, out)));
 }
 

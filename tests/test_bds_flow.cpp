@@ -1,10 +1,11 @@
-// End-to-end tests for the full BDS flow: optimize a network and prove the
-// result equivalent with global BDDs (the paper verifies every run the same
-// way), across circuit classes and option subsets.
-#include "core/bds.hpp"
-
+// End-to-end tests for the full BDS flow (the registered `bds` script):
+// optimize a network and prove the result equivalent with global BDDs (the
+// paper verifies every run the same way), across circuit classes and
+// pass-flag subsets.
 #include <gtest/gtest.h>
 
+#include "opt/bds_passes.hpp"
+#include "opt/manager.hpp"
 #include "util/rng.hpp"
 #include "verify/cec.hpp"
 
@@ -35,14 +36,20 @@ Sop xor2() {
   return s;
 }
 
-void expect_optimized_equivalent(const Network& input,
-                                 const BdsOptions& opts = {},
-                                 BdsStats* stats = nullptr) {
-  const Network out = bds_optimize(input, opts, stats);
+/// Runs `script` over a copy of `input` and proves the result equivalent.
+/// The flow's blackboard state is left in `ctx` for the caller to inspect.
+opt::PipelineStats expect_optimized_equivalent(
+    const Network& input, const std::string& script = "bds",
+    opt::PassContext* ctx = nullptr) {
+  Network out = input;
+  opt::PassContext local;
+  const opt::PipelineStats stats = opt::PassManager::from_script(script).run(
+      out, {}, ctx != nullptr ? *ctx : local);
   EXPECT_TRUE(out.check());
   const auto r = verify::check_equivalence(input, out);
   EXPECT_EQ(r.status, verify::CecStatus::kEquivalent)
       << "failing output: " << r.failing_output;
+  return stats;
 }
 
 Network ripple_adder(unsigned bits) {
@@ -75,10 +82,11 @@ Network ripple_adder(unsigned bits) {
 }
 
 TEST(BdsFlow, RippleAdderOptimizesAndVerifies) {
-  BdsStats stats;
-  expect_optimized_equivalent(ripple_adder(6), {}, &stats);
-  EXPECT_GT(stats.supernodes, 0u);
-  EXPECT_GT(stats.decompose.total(), 0u);
+  opt::PassContext ctx;
+  const opt::PipelineStats stats =
+      expect_optimized_equivalent(ripple_adder(6), "bds", &ctx);
+  EXPECT_GT(stats.counter("supernodes"), 0.0);
+  EXPECT_GT(ctx.state<opt::BdsFlowState>().decompose.total(), 0u);
 }
 
 TEST(BdsFlow, XorTreeKeepsXorStructure) {
@@ -96,13 +104,15 @@ TEST(BdsFlow, XorTreeKeepsXorStructure) {
   }
   net.set_output("parity", level[0]);
 
-  BdsStats stats;
-  const Network out = bds_optimize(net, {}, &stats);
+  Network out = net;
+  opt::PassContext ctx;
+  opt::PassManager::from_script("bds").run(out, {}, ctx);
   EXPECT_TRUE(verify::random_simulation_equal(net, out));
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(net, out)));
   // BDS must discover the XOR structure through x-dominators.
-  EXPECT_GE(stats.decompose.x_dominator, 10u);
-  EXPECT_EQ(stats.decompose.shannon, 0u);
+  const DecomposeStats& dec = ctx.state<opt::BdsFlowState>().decompose;
+  EXPECT_GE(dec.x_dominator, 10u);
+  EXPECT_EQ(dec.shannon, 0u);
   // Parity of 16 in XOR2 gates: 15 gates, whatever the tree shape.
   EXPECT_LE(out.num_logic_nodes(), 16u);
 }
@@ -138,29 +148,29 @@ TEST(BdsFlow, MultiOutputSharingAcrossTrees) {
   const NodeId o2 = net.add_node("o2n", {c2, in[4]}, or2());
   net.set_output("o1", o1);
   net.set_output("o2", o2);
-  BdsStats stats;
-  expect_optimized_equivalent(net, {}, &stats);
+  expect_optimized_equivalent(net);
 }
 
 TEST(BdsFlow, OptionSubsetsAllProduceEquivalentNetworks) {
   const Network net = ripple_adder(4);
   for (int mask = 0; mask < 16; ++mask) {
-    BdsOptions opts;
-    opts.decompose.use_simple_dominators = (mask & 1) != 0;
-    opts.decompose.use_mux = (mask & 2) != 0;
-    opts.decompose.use_generalized = (mask & 4) != 0;
-    opts.decompose.use_xdom = (mask & 8) != 0;
-    const Network out = bds_optimize(net, opts);
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(net, out)))
-        << "option mask " << mask;
+    std::string decompose = "bds_decompose";
+    if ((mask & 1) == 0) decompose += " -nodom";
+    if ((mask & 2) == 0) decompose += " -nomux";
+    if ((mask & 4) == 0) decompose += " -nogen";
+    if ((mask & 8) == 0) decompose += " -noxdom";
+    SCOPED_TRACE("option mask " + std::to_string(mask));
+    expect_optimized_equivalent(
+        net, "sweep; bds_partition; " + decompose +
+                 "; bds_sharing; bds_balance; bds_emit; sweep");
   }
 }
 
 TEST(BdsFlow, NoSharingNoReorderStillCorrect) {
-  BdsOptions opts;
-  opts.sharing = false;
-  opts.reorder = false;
-  expect_optimized_equivalent(ripple_adder(5), opts);
+  expect_optimized_equivalent(
+      ripple_adder(5),
+      "sweep; bds_partition; bds_decompose -noreorder; bds_balance; "
+      "bds_emit; sweep");
 }
 
 TEST(BdsFlow, ConstantsAndPassthroughsSurvive) {
@@ -227,14 +237,15 @@ TEST(BdsFlow, RandomPlaNetworks) {
 }
 
 TEST(BdsFlow, StatsAreInternallyConsistent) {
-  BdsStats stats;
-  const Network net = ripple_adder(6);
-  (void)bds_optimize(net, {}, &stats);
+  opt::PassContext ctx;
+  const opt::PipelineStats stats =
+      expect_optimized_equivalent(ripple_adder(6), "bds", &ctx);
   EXPECT_GT(stats.seconds_total, 0.0);
-  EXPECT_GE(stats.seconds_total,
-            stats.seconds_partition + stats.seconds_decompose);
-  EXPECT_GT(stats.peak_bdd_nodes, 0u);
-  EXPECT_GT(stats.peak_bdd_bytes, 0u);
+  EXPECT_GE(stats.seconds_total, stats.seconds_in("bds_partition") +
+                                     stats.seconds_in("bds_decompose"));
+  const opt::BdsFlowState& st = ctx.state<opt::BdsFlowState>();
+  EXPECT_GT(st.peak_bdd_nodes(), 0u);
+  EXPECT_GT(st.peak_bdd_bytes(), 0u);
 }
 
 }  // namespace

@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
 #include "opt/bds_passes.hpp"
-#include "opt/flows.hpp"
 #include "opt/manager.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
@@ -256,10 +254,8 @@ TEST(Degradation, CancellationUnwindsInsteadOfDegrading) {
     opt::PipelineOptions popts;
     popts.budget = std::make_shared<ResourceBudget>();
     popts.budget->request_cancel();
-    core::BdsOptions bopts;
-    bopts.jobs = jobs;
-    opt::PassManager pm =
-        opt::PassManager::from_script(opt::default_bds_script(bopts));
+    opt::PassManager pm = opt::PassManager::from_script(
+        "bds", {{"jobs", std::to_string(jobs)}});
     try {
       pm.run(net, popts);
       FAIL() << "cancelled run completed at -j " << jobs;

@@ -4,10 +4,10 @@
 // the Table I/II benchmarks run.
 #include <gtest/gtest.h>
 
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
 #include "map/mapper.hpp"
-#include "sis/script.hpp"
+#include "opt/bds_passes.hpp"
+#include "opt/manager.hpp"
 #include "verify/cec.hpp"
 
 namespace bds {
@@ -21,14 +21,15 @@ struct FlowOutcome {
 };
 
 FlowOutcome run_bds(const Network& input) {
-  const Network optimized = core::bds_optimize(input);
+  Network optimized = input;
+  opt::PassManager::from_script("bds").run(optimized);
   map::MapResult r = map::map_network(optimized);
   return {r.netlist, std::move(r)};
 }
 
 FlowOutcome run_sis(const Network& input) {
   Network net = input;
-  sis::script_rugged(net);
+  opt::PassManager::from_script("rugged").run(net);
   map::MapResult r = map::map_network(net);
   return {r.netlist, std::move(r)};
 }
@@ -98,8 +99,8 @@ TEST(Integration, BdsWinsXorGatesOnParity) {
 
 TEST(Integration, BshiftMuxStructureSurvivesBds) {
   const Network input = gen::barrel_shifter(16);
-  core::BdsStats stats;
-  const Network optimized = core::bds_optimize(input, {}, &stats);
+  Network optimized = input;
+  opt::PassManager::from_script("bds").run(optimized);
   EXPECT_TRUE(
       static_cast<bool>(verify::check_equivalence(input, optimized)));
   // MUX-heavy circuit: functional MUX / shannon decompositions dominate,
@@ -108,13 +109,15 @@ TEST(Integration, BshiftMuxStructureSurvivesBds) {
 }
 
 TEST(Integration, BdsRuntimeReportsAllPhases) {
-  const Network input = gen::barrel_shifter(16);
-  core::BdsStats stats;
-  (void)core::bds_optimize(input, {}, &stats);
-  EXPECT_GT(stats.supernodes, 0u);
-  EXPECT_GT(stats.decompose.total(), 0u);
+  Network net = gen::barrel_shifter(16);
+  opt::PassContext ctx;
+  const opt::PipelineStats stats =
+      opt::PassManager::from_script("bds").run(net, {}, ctx);
+  const opt::BdsFlowState& st = ctx.state<opt::BdsFlowState>();
+  EXPECT_GT(stats.counter("supernodes"), 0.0);
+  EXPECT_GT(st.decompose.total(), 0u);
   EXPECT_GT(stats.seconds_total, 0.0);
-  EXPECT_GT(stats.peak_bdd_nodes, 0u);
+  EXPECT_GT(st.peak_bdd_nodes(), 0u);
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/bds.hpp"
-#include "sis/script.hpp"
 #include "gen/gen.hpp"
+#include "opt/manager.hpp"
 #include "verify/cec.hpp"
 
 namespace bds::map {
@@ -102,9 +101,10 @@ TEST(LutMap, BdsBeatsAlgebraicFlowOnRegularStructures) {
   // packs directly into k-cones.
   for (const Network& input :
        {gen::parity_tree(32), gen::barrel_shifter(32)}) {
-    const Network bds_net = core::bds_optimize(input);
-    net::Network sis_net = input;
-    sis::script_rugged(sis_net);
+    Network bds_net = input;
+    opt::PassManager::from_script("bds").run(bds_net);
+    Network sis_net = input;
+    opt::PassManager::from_script("rugged").run(sis_net);
     const LutMapResult lb = map_luts(bds_net, 4);
     const LutMapResult ls = map_luts(sis_net, 4);
     EXPECT_TRUE(

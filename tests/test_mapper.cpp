@@ -7,7 +7,7 @@
 
 #include <sstream>
 
-#include "core/bds.hpp"
+#include "opt/manager.hpp"
 #include "verify/cec.hpp"
 
 namespace bds::map {
@@ -201,7 +201,8 @@ TEST(Mapper, BdsOutputMapsEndToEnd) {
 -1 1
 .end
 )");
-  const Network optimized = core::bds_optimize(net);
+  Network optimized = net;
+  opt::PassManager::from_script("bds").run(optimized);
   MapResult r = map_network(optimized);
   EXPECT_TRUE(
       static_cast<bool>(verify::check_equivalence(net, r.netlist)));
@@ -229,7 +230,8 @@ TEST(Mapper, BdsParityConeKeepsXorGates) {
   const net::NodeId p = net.add_node("p", in, std::move(big));
   net.set_output("parity", p);
 
-  const Network optimized = core::bds_optimize(net);
+  Network optimized = net;
+  opt::PassManager::from_script("bds").run(optimized);
   MapResult r = map_network(optimized);
   EXPECT_TRUE(
       static_cast<bool>(verify::check_equivalence(net, r.netlist)));

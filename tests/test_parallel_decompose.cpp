@@ -10,11 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/bds.hpp"
 #include "core/eliminate.hpp"
 #include "gen/gen.hpp"
 #include "opt/bds_passes.hpp"
-#include "opt/flows.hpp"
 #include "opt/manager.hpp"
 #include "opt/manager_pool.hpp"
 #include "util/thread_pool.hpp"
@@ -40,12 +38,13 @@ struct FlowResult {
   PassStats decompose;  ///< stats of the bds_decompose pass
 };
 
+PassManager bds_at(unsigned jobs) {
+  return PassManager::from_script("bds", {{"jobs", std::to_string(jobs)}});
+}
+
 FlowResult run_bds(const net::Network& input, unsigned jobs) {
-  core::BdsOptions opts;
-  opts.jobs = jobs;
   net::Network net = input;
-  PassManager pm = PassManager::from_script(default_bds_script(opts));
-  const PipelineStats ps = pm.run(net);
+  const PipelineStats ps = bds_at(jobs).run(net);
 
   FlowResult r;
   std::ostringstream out;
@@ -93,11 +92,8 @@ TEST(ParallelDecompose, OddWorkerCountsAgreeToo) {
 
 TEST(ParallelDecompose, ParallelResultIsEquivalentToInput) {
   const net::Network input = gen::ripple_adder(10);
-  core::BdsOptions opts;
-  opts.jobs = 4;
   net::Network net = input;
-  PassManager pm = PassManager::from_script(default_bds_script(opts));
-  pm.run(net);
+  bds_at(4).run(net);
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)));
 }
 
@@ -117,12 +113,9 @@ TEST(ParallelDecompose, ReportsPerWorkerBusyTime) {
 }
 
 TEST(ParallelDecompose, JobsFlagRoundTripsThroughScript) {
-  core::BdsOptions opts;
-  opts.jobs = 4;
-  const std::string script = default_bds_script(opts);
-  EXPECT_NE(script.find("bds_decompose -j 4"), std::string::npos) << script;
-  // Re-parsing and re-rendering the pipeline preserves the flag.
-  PassManager pm = PassManager::from_script(script);
+  // The registered script's `jobs` parameter becomes the `bds_decompose -j`
+  // flag, and re-rendering the pipeline shows it in place.
+  PassManager pm = bds_at(4);
   std::string rendered;
   for (const auto& pass : pm.passes()) {
     if (!rendered.empty()) rendered += "; ";
@@ -130,7 +123,9 @@ TEST(ParallelDecompose, JobsFlagRoundTripsThroughScript) {
     const std::string args = pass->args();
     if (!args.empty()) rendered += ' ' + args;
   }
-  EXPECT_EQ(rendered, script);
+  EXPECT_EQ(rendered,
+            "sweep; bds_partition; bds_decompose -j 4; bds_sharing; "
+            "bds_balance; bds_emit; sweep");
 }
 
 TEST(ParallelDecompose, RemovedFlagsAreRejected) {

@@ -1,16 +1,12 @@
-// Tests for the PassManager pipeline driver: instrumentation, the per-pass
-// equivalence checkpoint, trace callbacks, and — the refactor's contract —
-// that the legacy entry points (`bds_optimize`, `script_rugged`) and the
-// explicit script pipelines they wrap produce CEC-equivalent networks with
-// matching statistics on the generator circuits.
+// Tests for the PassManager pipeline driver: the registered flows produce
+// CEC-equivalent networks on the generator circuits, instrumentation, the
+// per-pass equivalence checkpoint, trace callbacks, and blackboard state.
 #include <gtest/gtest.h>
 
-#include "core/bds.hpp"
 #include "gen/gen.hpp"
 #include "opt/bds_passes.hpp"
-#include "opt/flows.hpp"
 #include "opt/manager.hpp"
-#include "sis/script.hpp"
+#include "opt/registry.hpp"
 #include "verify/cec.hpp"
 
 namespace bds::opt {
@@ -25,58 +21,17 @@ std::vector<net::Network> pipeline_circuits() {
   return circuits;
 }
 
-TEST(PassPipeline, BdsWrapperMatchesExplicitScriptPipeline) {
-  for (const net::Network& input : pipeline_circuits()) {
-    core::BdsStats stats;
-    const net::Network legacy = core::bds_optimize(input, {}, &stats);
-
-    net::Network piped = input;
-    PassManager pm = PassManager::from_script(default_bds_script());
-    const PipelineStats ps = pm.run(piped);
-
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, legacy)))
-        << input.name();
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(legacy, piped)))
-        << input.name();
-    // Same script, same passes: identical results, not merely equivalent.
-    EXPECT_EQ(legacy.num_logic_nodes(), piped.num_logic_nodes())
-        << input.name();
-    EXPECT_EQ(legacy.total_literals(), piped.total_literals())
-        << input.name();
-    ASSERT_EQ(stats.passes.size(), ps.passes.size());
-    for (std::size_t i = 0; i < ps.passes.size(); ++i) {
-      EXPECT_EQ(stats.passes[i].name, ps.passes[i].name);
-      EXPECT_EQ(stats.passes[i].nodes_after, ps.passes[i].nodes_after);
-      EXPECT_EQ(stats.passes[i].lits_after, ps.passes[i].lits_after);
+TEST(PassPipeline, NamedFlowsAreEquivalentOnGeneratorCircuits) {
+  for (const char* script : {"bds", "rugged", "sis"}) {
+    for (const net::Network& input : pipeline_circuits()) {
+      net::Network net = input;
+      const PipelineStats ps = PassManager::from_script(script).run(net);
+      EXPECT_EQ(ps.passes.size(),
+                parse_script(*PassRegistry::instance().find_script(script))
+                    .size());
+      EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)))
+          << script << " on " << input.name();
     }
-  }
-}
-
-TEST(PassPipeline, RuggedWrapperMatchesNamedScript) {
-  for (const net::Network& input : pipeline_circuits()) {
-    net::Network legacy = input;
-    const sis::SisStats stats = sis::script_rugged(legacy);
-
-    net::Network piped = input;
-    PassManager pm = PassManager::from_script("rugged");
-    const PipelineStats ps = pm.run(piped);
-
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, legacy)))
-        << input.name();
-    EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(legacy, piped)))
-        << input.name();
-    EXPECT_EQ(legacy.num_logic_nodes(), piped.num_logic_nodes())
-        << input.name();
-    EXPECT_EQ(legacy.total_literals(), piped.total_literals())
-        << input.name();
-    // Legacy stat fields are sums of the per-pass counters.
-    EXPECT_EQ(static_cast<double>(stats.eliminated),
-              ps.counter("eliminated"));
-    EXPECT_EQ(static_cast<double>(stats.divisors_extracted),
-              ps.counter("divisors"));
-    EXPECT_EQ(static_cast<double>(stats.resubstitutions),
-              ps.counter("resubs"));
-    EXPECT_EQ(stats.passes.size(), ps.passes.size());
   }
 }
 

@@ -3,7 +3,6 @@
 // (unknown pass, malformed arguments).
 #include <gtest/gtest.h>
 
-#include "opt/flows.hpp"
 #include "opt/manager.hpp"
 #include "opt/registry.hpp"
 #include "opt/script.hpp"
@@ -53,8 +52,8 @@ TEST(ScriptFormat, RoundTripsThroughParse) {
 }
 
 TEST(ScriptFormat, CanonicalFlowScriptsRoundTrip) {
-  for (const std::string text : {default_bds_script(), rugged_script()}) {
-    EXPECT_EQ(format_script(parse_script(text)), text);
+  for (const auto& [name, text] : PassRegistry::instance().list_scripts()) {
+    EXPECT_EQ(format_script(parse_script(text)), text) << name;
   }
 }
 
@@ -70,12 +69,28 @@ TEST(Registry, ListsTheBuiltinPasses) {
   EXPECT_GE(reg.list().size(), 11u);
 }
 
+// The registered texts are the only definition of the three flows; they
+// are pinned here verbatim so an edit to any of them is a visible,
+// deliberate change.
 TEST(Registry, NamedScriptsResolve) {
   PassRegistry& reg = PassRegistry::instance();
-  ASSERT_NE(reg.find_script("rugged"), nullptr);
-  ASSERT_NE(reg.find_script("bds"), nullptr);
-  EXPECT_EQ(*reg.find_script("rugged"), rugged_script());
-  EXPECT_EQ(*reg.find_script("bds"), default_bds_script());
+  const std::pair<const char*, const char*> pinned[] = {
+      {"bds",
+       "sweep; bds_partition; bds_decompose; bds_sharing; bds_balance; "
+       "bds_emit; sweep"},
+      {"rugged",
+       "sweep; eliminate -1; simplify; sweep; eliminate 5; gkx; resub; gkx; "
+       "sweep; eliminate -1; simplify; sweep; full_simplify; sweep"},
+      {"sis",
+       "sweep; eliminate -1; simplify; sweep; eliminate 5; gkx; resub; gkx; "
+       "sweep; eliminate -1; simplify; sweep"},
+  };
+  for (const auto& [name, text] : pinned) {
+    const std::string* found = reg.find_script(name);
+    ASSERT_NE(found, nullptr) << name;
+    EXPECT_EQ(*found, text) << name;
+  }
+  EXPECT_EQ(reg.list_scripts().size(), std::size(pinned));
   EXPECT_EQ(reg.find_script("nonesuch"), nullptr);
 }
 
@@ -111,7 +126,9 @@ TEST(Registry, ArgumentRoundTripThroughPassObjects) {
 
 TEST(Script, NamedScriptExpandsInFromScript) {
   PassManager pm = PassManager::from_script("rugged");
-  EXPECT_EQ(pm.passes().size(), parse_script(rugged_script()).size());
+  EXPECT_EQ(pm.passes().size(),
+            parse_script(*PassRegistry::instance().find_script("rugged"))
+                .size());
   EXPECT_EQ(pm.passes().front()->name(), "sweep");
   EXPECT_EQ(pm.passes()[1]->name(), "eliminate");
 }

@@ -1,16 +1,13 @@
 // The bdsd service layer: wire-codec round-trips and typed rejection of
-// malformed frames, protocol-revision compatibility (a rev-1 client
-// against a rev-2 daemon, unknown revisions rejected by name),
+// malformed frames, every revision but the current one rejected by name,
 // error-to-status mapping, and the tentpole contract over a real Unix
 // socket -- a repeated identical request is served from the
 // content-addressed result cache with a byte-identical BLIF.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -47,20 +44,6 @@ const char kBlif[] =
 std::string unique_socket_path(const char* tag) {
   return "/tmp/bds-test-" + std::string(tag) + "-" +
          std::to_string(::getpid()) + ".sock";
-}
-
-/// A raw rev-1 peer: connects and speaks the legacy unversioned framing,
-/// the way a pre-revision binary would.
-int connect_raw(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr),
-            0);
-  return fd;
 }
 
 TEST(ServiceProtocol, RequestRoundTripsAllFields) {
@@ -139,50 +122,6 @@ TEST(ServiceProtocol, ResponseAndStatsRoundTrip) {
   EXPECT_EQ(s.in_flight, 2u);
 }
 
-// Older-revision payloads simply lack the newer tails; decoding them at
-// their own revision must default the new fields to zero, and newer fields
-// must never leak into an older encoding (an older decoder would see
-// trailing bytes).
-TEST(ServiceProtocol, RevisionOnePayloadsOmitNewFields) {
-  OptimizeRequest req;
-  req.blif = "x";
-  req.options.deadline_ms = 1234;
-  req.options.priority = opt::kPriorityHigh;
-  req.options.map_lib = "mcnc";
-  req.options.lut_k = 4;
-  const std::string rev1 = encode_optimize_request(req, 1);
-  const std::string rev2 = encode_optimize_request(req, 2);
-  const std::string rev3 = encode_optimize_request(req, 3);
-  EXPECT_EQ(rev2.size(), rev1.size() + 9);  // u64 deadline + u8 priority
-  EXPECT_EQ(rev3.size(), rev2.size() + 12);  // str "mcnc" (4+4) + u32 lut_k
-  const OptimizeRequest out = decode_optimize_request(rev1, 1);
-  EXPECT_EQ(out.options.deadline_ms, 0u);  // dropped by the rev-1 wire
-  EXPECT_EQ(out.options.priority, opt::kPriorityNormal);
-  const OptimizeRequest out2 = decode_optimize_request(rev2, 2);
-  EXPECT_EQ(out2.options.deadline_ms, 1234u);
-  EXPECT_EQ(out2.options.map_lib, "");  // dropped by the rev-2 wire
-  EXPECT_EQ(out2.options.lut_k, 0u);
-  // An older decoder handed a newer payload sees trailing bytes -- typed
-  // rejection, not silent truncation.
-  EXPECT_THROW(decode_optimize_request(rev2, 1), SerializeError);
-  EXPECT_THROW(decode_optimize_request(rev3, 2), SerializeError);
-
-  OptimizeResponse resp;
-  resp.retry_after_ms = 99;
-  const OptimizeResponse back =
-      decode_optimize_response(encode_optimize_response(resp, 1), 1);
-  EXPECT_EQ(back.retry_after_ms, 0u);
-
-  // The admission statuses postdate rev 1: a rev-1 frame carrying one is
-  // corrupt by definition.
-  resp.status = Status::kOverloaded;
-  std::string bad = encode_optimize_response(resp, 1);
-  EXPECT_THROW(decode_optimize_response(bad, 1), SerializeError);
-  EXPECT_EQ(decode_optimize_response(encode_optimize_response(resp, 2), 2)
-                .status,
-            Status::kOverloaded);
-}
-
 TEST(ServiceProtocol, MalformedPayloadsRaiseSerializeError) {
   const std::string good = encode_optimize_request(OptimizeRequest{});
   // Truncation at every prefix boundary (rev-3 layout).
@@ -225,29 +164,42 @@ TEST(ServiceProtocol, MalformedPayloadsRaiseSerializeError) {
   }
 }
 
-// An unknown protocol revision is rejected with a message naming both
-// revisions -- the one diagnostic that separates version skew from
+// Any frame header other than the current revision's marker -- an older
+// peer's bare rev-1 header, a rev-2 marker, an unknown future revision --
+// is rejected with a message naming what the peer sent and the revision
+// this build speaks: the one diagnostic that separates version skew from
 // corruption.
 TEST(ServiceProtocol, UnknownRevisionRejectedByName) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // Length 0, marker 0xB7 = "revision 7".
-  const char raw[] = {0, 0, 0, 0, static_cast<char>(0xB7)};
-  ASSERT_EQ(::write(fds[0], raw, sizeof raw),
-            static_cast<ssize_t>(sizeof raw));
-  FrameType type{};
-  std::string payload;
-  std::uint8_t revision = 0;
-  try {
-    read_frame(fds[1], type, payload, revision);
-    FAIL() << "revision 7 frame was accepted";
-  } catch (const SerializeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("revision-7"), std::string::npos) << what;
-    EXPECT_NE(what.find("revision 2..3"), std::string::npos) << what;
+  struct Case {
+    char header_byte;
+    const char* sent;
+  };
+  const Case cases[] = {
+      {static_cast<char>(0xB7), "revision-7"},  // unknown future revision
+      {static_cast<char>(0xB2), "revision-2"},  // the previous revision
+      {static_cast<char>(FrameType::kOptimizeRequest), "revision-1"},
+  };
+  for (const Case& c : cases) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // Length 0, then the header byte under test.
+    const char raw[] = {0, 0, 0, 0, c.header_byte};
+    ASSERT_EQ(::write(fds[0], raw, sizeof raw),
+              static_cast<ssize_t>(sizeof raw));
+    FrameType type{};
+    std::string payload;
+    try {
+      read_frame(fds[1], type, payload);
+      ADD_FAILURE() << c.sent << " frame was accepted";
+    } catch (const SerializeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.sent), std::string::npos) << what;
+      EXPECT_NE(what.find("this build speaks revision 3"), std::string::npos)
+          << what;
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
   }
-  ::close(fds[0]);
-  ::close(fds[1]);
 }
 
 TEST(ServiceServer, HandleMapsFailuresToTypedStatuses) {
@@ -315,69 +267,6 @@ TEST(ServiceServer, SecondIdenticalRequestHitsTheCache) {
     EXPECT_GT(stats.cache_insertions, 0u);
     EXPECT_EQ(stats.admitted, 2u);
     EXPECT_EQ(stats.sheds, 0u);
-  }
-
-  server.stop();
-  serve_thread.join();
-}
-
-// Older clients -- a rev-1 peer with legacy unversioned framing, and a
-// rev-2 peer one revision behind -- must still round-trip against the
-// current daemon, which answers each in its own revision.
-TEST(ServiceServer, OlderClientsRoundTripAgainstCurrentDaemon) {
-  ServerOptions options;
-  options.socket_path = unique_socket_path("rev1");
-  Server server(std::move(options));
-  server.start();
-  std::thread serve_thread([&server] { server.serve(); });
-
-  {
-    const int fd = connect_raw(server.socket_path());
-    OptimizeRequest req;
-    req.blif = kBlif;
-    write_frame(fd, FrameType::kOptimizeRequest,
-                encode_optimize_request(req, 1), 1);
-    FrameType type{};
-    std::string payload;
-    std::uint8_t revision = 0;
-    ASSERT_TRUE(read_frame(fd, type, payload, revision));
-    EXPECT_EQ(type, FrameType::kOptimizeResponse);
-    EXPECT_EQ(revision, 1) << "daemon must answer in the peer's revision";
-    const OptimizeResponse resp = decode_optimize_response(payload, revision);
-    EXPECT_EQ(resp.status, Status::kOk) << resp.error;
-    EXPECT_FALSE(resp.blif.empty());
-
-    // Same request from a rev-2 client: byte-identical result.
-    Client client(server.socket_path());
-    client.connect();
-    OptimizeRequest req2;
-    req2.blif = kBlif;
-    req2.options.bypass_cache = true;  // cache-independent comparison
-    const OptimizeResponse modern = client.optimize(req2);
-    ASSERT_EQ(modern.status, Status::kOk) << modern.error;
-    EXPECT_EQ(modern.blif, resp.blif);
-
-    // A rev-2 peer (versioned framing, one revision behind): read_frame
-    // accepts 2..kProtocolRevision, and the daemon answers in rev 2.
-    write_frame(fd, FrameType::kOptimizeRequest,
-                encode_optimize_request(req, 2), 2);
-    ASSERT_TRUE(read_frame(fd, type, payload, revision));
-    EXPECT_EQ(type, FrameType::kOptimizeResponse);
-    EXPECT_EQ(revision, 2) << "daemon must answer in the peer's revision";
-    const OptimizeResponse rev2_resp =
-        decode_optimize_response(payload, revision);
-    EXPECT_EQ(rev2_resp.status, Status::kOk) << rev2_resp.error;
-    EXPECT_EQ(rev2_resp.blif, resp.blif);
-
-    // Legacy stats exchange still works and stays 9 fields long.
-    write_frame(fd, FrameType::kServerStatsRequest, std::string(), 1);
-    ASSERT_TRUE(read_frame(fd, type, payload, revision));
-    EXPECT_EQ(type, FrameType::kServerStatsResponse);
-    EXPECT_EQ(revision, 1);
-    EXPECT_EQ(payload.size(), 9 * 8u);
-    const ServerStats s = decode_server_stats(payload, revision);
-    EXPECT_GE(s.requests, 2u);
-    ::close(fd);
   }
 
   server.stop();

@@ -1,9 +1,11 @@
-// Tests for the SIS-style baseline passes and the script.rugged driver:
-// every pass must preserve network semantics, and extraction must find the
-// classic shared divisors.
+// Tests for the SIS-style baseline passes and the registered `rugged`
+// script: every pass must preserve network semantics, and extraction must
+// find the classic shared divisors.
 #include <gtest/gtest.h>
 
-#include "sis/script.hpp"
+#include "gen/gen.hpp"
+#include "opt/manager.hpp"
+#include "sis/optimize.hpp"
 #include "util/rng.hpp"
 #include "verify/cec.hpp"
 
@@ -16,6 +18,9 @@ using net::parse_blif_string;
 using sop::Cube;
 using sop::Sop;
 
+opt::PipelineStats run_rugged(Network& net) {
+  return opt::PassManager::from_script("rugged").run(net);
+}
 
 Network two_sop_network() {
   // f = ac + ad + bc + bd + e ; g = ab + cd: shares the (a+b)/(c+d) kernels.
@@ -166,7 +171,7 @@ TEST(SisResub, DividesOneNodeByAnother) {
 TEST(SisScript, RuggedReducesLiteralsAndPreservesFunction) {
   const Network input = two_sop_network();
   Network net = input;
-  const SisStats stats = script_rugged(net);
+  const opt::PipelineStats stats = run_rugged(net);
   EXPECT_GT(stats.seconds_total, 0.0);
   EXPECT_LE(net.total_literals(), input.total_literals());
   EXPECT_TRUE(
@@ -203,7 +208,7 @@ TEST(SisScript, RandomPlasStayEquivalent) {
       input.set_output("o" + std::to_string(o), n);
     }
     Network net = input;
-    script_rugged(net);
+    run_rugged(net);
     EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)))
         << "iter " << iter;
   }
@@ -233,8 +238,26 @@ TEST(SisScript, XorChainSurvives) {
   }
   input.set_output("p", level[0]);
   Network net = input;
-  script_rugged(net);
+  run_rugged(net);
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)));
+}
+
+// full_simplify builds every node's global BDD from its whole cover. When
+// the live-node cap tripped part-way through a cover, it used to store the
+// truncated function; the sift that followed brought the count back under
+// the cap, the walk went on, and later nodes' don't-care sets were derived
+// from the wrong function -- an inequivalent result on this case.
+TEST(SisFullSimplify, NodeCapTripMidCoverKeepsFunctionsWhole) {
+  Network net = gen::random_multilevel(24, 8, 40, 12, 49);
+  opt::PassManager::from_script("sis").run(net);
+  const Network before = net;
+  FullSimplifyOptions opts;
+  opts.max_manager_nodes = 800;
+  opts.reorder_threshold = 400;
+  full_simplify(net, opts);
+  const verify::CecResult r = verify::check_equivalence(before, net);
+  EXPECT_EQ(r.status, verify::CecStatus::kEquivalent)
+      << "failing output: " << r.failing_output;
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // recorder/absorb merge discipline, the bds-trace/v1 JSONL schema against an
 // embedded golden, byte-identical deterministic output at -j 1 vs -j 4
 // (modulo the exec object), counter unification -- ManagerStats deltas via
-// bdd::telemetry_counters and the -stats table rebuilt from a trace via
-// opt::aggregate_pipeline_stats -- and the zero-allocation contract of a
+// bdd::telemetry_counters -- and the zero-allocation contract of a
 // disabled (null-recorder) span.
 #include <gtest/gtest.h>
 
@@ -321,46 +320,6 @@ TEST(TelemetryCounters, ManagerStatsDeltasViaTelemetryCounters) {
       EXPECT_EQ(v, static_cast<double>(after.cache_lookups));
     }
   }
-}
-
-TEST(TelemetryCounters, StatsTableRebuiltFromTraceMatchesDirectStats) {
-  const net::Network input = gen::alu(4);
-  net::Network net = input;
-  opt::PassManager pm = opt::PassManager::from_script("bds");
-  opt::PipelineOptions popts;
-  auto telemetry = std::make_shared<Telemetry>("bds");
-  auto aggregate = std::make_shared<AggregateSink>();
-  telemetry->add_sink(aggregate);
-  popts.telemetry = telemetry;
-  const opt::PipelineStats direct = pm.run(net, popts);
-  telemetry->finish();
-
-  const opt::PipelineStats rebuilt =
-      opt::aggregate_pipeline_stats(aggregate->events());
-  ASSERT_EQ(rebuilt.passes.size(), direct.passes.size());
-  for (std::size_t i = 0; i < direct.passes.size(); ++i) {
-    const opt::PassStats& d = direct.passes[i];
-    const opt::PassStats& r = rebuilt.passes[i];
-    EXPECT_EQ(r.name, d.name);
-    EXPECT_EQ(r.args, d.args);
-    EXPECT_EQ(r.nodes_before, d.nodes_before);
-    EXPECT_EQ(r.nodes_after, d.nodes_after);
-    EXPECT_EQ(r.lits_before, d.lits_before);
-    EXPECT_EQ(r.lits_after, d.lits_after);
-    EXPECT_EQ(r.depth_before, d.depth_before);
-    EXPECT_EQ(r.depth_after, d.depth_after);
-    EXPECT_EQ(r.check, d.check);
-    EXPECT_EQ(r.outcome, d.outcome);
-    EXPECT_EQ(r.counters, d.counters) << "pass " << d.name;
-  }
-  EXPECT_EQ(rebuilt.check_failures, direct.check_failures);
-  EXPECT_EQ(rebuilt.degraded_passes, direct.degraded_passes);
-  // The seconds fields travel through the trace as plain doubles (the
-  // AggregateSink keeps SpanEvents in memory, no serialization loss), so
-  // even the rendered -stats table matches byte for byte.
-  EXPECT_EQ(opt::format_pass_table(rebuilt), opt::format_pass_table(direct));
-  // And the optimized network is unaffected by observation.
-  EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)));
 }
 
 TEST(TelemetryCounters, ProfileReportsPassesAndHitRates) {
