@@ -4,17 +4,18 @@
 //        [-cache-bytes N] [-no-cache] [-trace-dir DIR]
 //
 // Listens on a Unix-domain socket for framed optimize requests (see
-// src/service/protocol.hpp), runs them through a bounded admission queue
-// on a fixed executor pool, and amortizes work across requests through the
-// shared content-addressed ResultCache and the global BDD ManagerPool.
-// Requests beyond the queue's depth or byte ceiling are shed immediately
-// with kOverloaded and a retry hint instead of piling up.
+// src/service/protocol.hpp). Each connection's thread runs its own
+// requests once a bounded admission gate gives them a turn (at most -c at
+// once), and work is amortized across requests through the shared
+// content-addressed ResultCache and the global BDD ManagerPool. Requests
+// beyond the gate's depth or byte ceiling are shed immediately with
+// kOverloaded and a retry hint instead of piling up.
 //
 // Shutdown: SIGTERM drains gracefully -- everything already admitted runs
 // to completion and is delivered while new requests are answered
-// kShuttingDown; SIGINT stops hard -- queued requests are answered
-// kShuttingDown, only work already executing finishes. Either way the
-// socket file is removed on exit.
+// kShuttingDown; SIGINT stops hard -- requests still waiting for a turn
+// are answered kShuttingDown, only work already running finishes. Either
+// way the socket file is removed on exit.
 //
 // Exit codes: 0 clean shutdown, 1 startup/serve failure, 2 usage.
 #include <csignal>
@@ -40,7 +41,8 @@ int usage() {
   std::cerr
       << "usage: bdsd -socket PATH [options]\n"
          "  -socket PATH      Unix-domain socket to listen on (required)\n"
-         "  -c N              request executors (default: hardware)\n"
+         "  -c N              requests optimized at once (default: "
+         "hardware)\n"
          "  -queue-depth N    pending-request ceiling before shedding "
          "(default 64)\n"
          "  -queue-bytes N    pending-payload byte ceiling (default 64 MiB, "

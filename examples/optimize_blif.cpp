@@ -184,9 +184,9 @@ int main(int argc, char** argv) {
   }
 
   // Typed parameter bindings instead of patching script text: `jobs` is
-  // declared by the "bds" script (routed to bds_decompose -j), the budget
-  // keys are reserved pipeline parameters consumed by the PassManager,
-  // and `map`/`lut_k` append the mapping stage.
+  // declared by the "bds" script (routed to bds_decompose -j), and
+  // `map`/`lut_k` append the mapping stage. The budget ceilings reach the
+  // pipeline through ro.apply(popts) below.
   const opt::ScriptParams params = ro.to_script_params();
 
   net::Network input;

@@ -350,12 +350,6 @@ void Manager::budget_check_slow() {
   // operation does not count against the ceiling); memory_bytes is the
   // arena+table footprint maintained by update_memory_stats().
   budget_->check(stats_.live_nodes, stats_.memory_bytes, budget_ticks_);
-  // The tick is 0 exactly when check() just wrapped its amortization
-  // window (once per kDeadlineCheckInterval checks) -- the agreed
-  // low-frequency moment for telemetry gauge samples.
-  if (gauge_ != nullptr && budget_ticks_ == 0) {
-    gauge_->sample(stats_.live_nodes, stats_.memory_bytes);
-  }
 }
 
 void Manager::update_memory_stats() {

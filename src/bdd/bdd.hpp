@@ -220,7 +220,7 @@ class Manager {
   /// to the constructor's exact footprint (buffers already at that
   /// footprint are reused in place, so the common recycling path skips the
   /// computed-table allocation). All outstanding `Bdd` handles and raw
-  /// edges are invalidated; the installed budget and gauge sampler survive.
+  /// edges are invalidated; the installed budget survives.
   void reset() { reset(initial_cache_entries_); }
   /// reset(), but the manager's starting computed-table size becomes
   /// `cache_entries` (same precondition as the constructor's): afterwards
@@ -356,16 +356,6 @@ class Manager {
       const {
     return budget_;
   }
-
-  /// Installs a low-frequency gauge sampler (null to detach; not owned).
-  /// It observes live-node/byte high-watermarks from inside long operation
-  /// streams, fed from budget_check_slow() exactly when the budget's
-  /// amortized tick wraps (one sample per kDeadlineCheckInterval checks).
-  /// Sampling therefore costs nothing unless a budget is installed, and
-  /// adds no branch to the apply hot path even then -- the poll lives in
-  /// the out-of-line slow path the budget already pays for.
-  void set_gauge_sampler(util::GaugeSampler* sampler) { gauge_ = sampler; }
-  [[nodiscard]] util::GaugeSampler* gauge_sampler() const { return gauge_; }
 
   // ----- dynamic variable reordering (bdd/reorder.cpp) ----------------------
 
@@ -525,8 +515,6 @@ class Manager {
   std::shared_ptr<const util::ResourceBudget> budget_;
   /// Amortization counter for the budget's deadline clock reads.
   std::uint32_t budget_ticks_ = 0;
-  /// Optional telemetry gauge sampler (set_gauge_sampler; not owned).
-  util::GaugeSampler* gauge_ = nullptr;
 
   // Traversal scratch (all logically const; see begin_visit()). `visits_`
   // holds the per-node generation stamps: a node is "seen" in the current

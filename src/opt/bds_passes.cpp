@@ -186,10 +186,6 @@ class BdsPartitionPass final : public Pass {
     BdsFlowState& st = ctx.state<BdsFlowState>();
     st.pmgr = std::make_unique<bdd::Manager>();
     st.pmgr->set_budget(ctx.budget());
-    // Low-frequency live-node/byte watermarks, sampled on the budget's
-    // amortized tick (only fires while a budget is installed).
-    util::GaugeSampler gauge;
-    if (ctx.telemetry() != nullptr) st.pmgr->set_gauge_sampler(&gauge);
     try {
       st.part = core::partition_network(net, *st.pmgr, opts_);
     } catch (const BudgetExceeded& e) {
@@ -204,9 +200,6 @@ class BdsPartitionPass final : public Pass {
       st.pmgr = std::make_unique<bdd::Manager>();
       st.part = core::trivial_partition(net, *st.pmgr);
     }
-    // The sampler is a stack local: detach before it goes out of scope
-    // (the manager outlives this pass on the blackboard).
-    st.pmgr->set_gauge_sampler(nullptr);
 
     // Global signal space: PIs plus supernode outputs.
     st.sig_of.assign(net.raw_size(), 0xffffffffu);
@@ -221,19 +214,12 @@ class BdsPartitionPass final : public Pass {
     if (st.part.degraded || st.part.budget_stopped) ctx.count("degraded", 1.0);
 
     // Snapshot span: the partition manager's counters (cache traffic of
-    // the elimination phase), the sampled watermarks, and the remaining
+    // the elimination phase, peak live nodes and bytes) and the remaining
     // budget headroom. All tick- or op-driven, so deterministic per input.
     if (util::Telemetry* tel = ctx.telemetry()) {
       util::TelemetrySpan span =
           util::TelemetrySpan::open(tel, "manager:partition");
       attach_counters(span, bdd::telemetry_counters(st.pmgr->stats()));
-      span.count("gauge_samples", static_cast<double>(gauge.samples));
-      if (gauge.samples > 0) {
-        span.count("gauge_live_nodes_max",
-                   static_cast<double>(gauge.live_nodes_max));
-        span.count("gauge_memory_bytes_max",
-                   static_cast<double>(gauge.memory_bytes_max));
-      }
       const auto& budget = ctx.budget();
       if (budget != nullptr && budget->node_limit() > 0) {
         const std::size_t peak = st.pmgr->stats().peak_live_nodes;

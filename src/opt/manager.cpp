@@ -60,20 +60,6 @@ PassManager PassManager::from_script(const std::string& script,
   std::string map_lib;
   std::string lut_k;
   for (const auto& [key, value] : params) {
-    // Reserved pipeline-level keys: consumed by the PassManager itself
-    // (they shape the run's default ResourceBudget, not any single pass).
-    if (key == "node_limit") {
-      pm.param_node_limit_ = parse_size_arg("pipeline", value);
-      continue;
-    }
-    if (key == "byte_limit") {
-      pm.param_byte_limit_ = parse_size_arg("pipeline", value);
-      continue;
-    }
-    if (key == "time_limit") {
-      pm.param_time_limit_ = parse_double_arg("pipeline", value);
-      continue;
-    }
     // Reserved mapping keys: rather than binding a flag on a pass the
     // script must already contain, they append the `map` / `lutmap`
     // passes to the end of ANY script -- so `-flow rugged -map mcnc`
@@ -138,12 +124,10 @@ PipelineStats PassManager::run(net::Network& net,
   Timer t_total;
 
   // Resolve the run's budget: an explicit one wins; otherwise assemble one
-  // from explicit ceilings, script-parameter ceilings, or the
-  // BDS_NODE_LIMIT environment variable (the CI safety net), in that order.
+  // from explicit ceilings or the BDS_NODE_LIMIT environment variable (the
+  // CI safety net), in that order.
   util::BudgetPtr budget = options.budget;
-  double time_limit = options.time_limit_seconds > 0.0
-                          ? options.time_limit_seconds
-                          : param_time_limit_;
+  double time_limit = options.time_limit_seconds;
   // An absolute deadline (default-constructed time_point = none) becomes a
   // relative remaining-seconds figure here; a deadline already in the past
   // yields remaining <= 0, which arms a budget that trips at its first
@@ -158,15 +142,13 @@ PipelineStats PassManager::run(net::Network& net,
                                   : remaining;
   }
   if (!budget) {
-    std::size_t node_limit =
-        options.node_limit != 0 ? options.node_limit : param_node_limit_;
+    std::size_t node_limit = options.node_limit;
     if (node_limit == 0) {
       if (const char* env = std::getenv("BDS_NODE_LIMIT")) {
         node_limit = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
       }
     }
-    const std::size_t byte_limit =
-        options.byte_limit != 0 ? options.byte_limit : param_byte_limit_;
+    const std::size_t byte_limit = options.byte_limit;
     if (node_limit != 0 || byte_limit != 0 || time_limit > 0.0 ||
         deadline_armed) {
       budget = std::make_shared<util::ResourceBudget>(node_limit, byte_limit);

@@ -24,9 +24,9 @@ struct PipelineOptions {
   std::size_t check_max_live_nodes = 2'000'000;
   /// The resource budget governing the whole run (installed in the
   /// PassContext; passes put it on every BDD manager they create). When
-  /// null, one is assembled from the ceilings below, script parameters
-  /// (node_limit/byte_limit/time_limit), or the BDS_NODE_LIMIT environment
-  /// variable -- in that precedence order, 0 meaning "unlimited".
+  /// null, one is assembled from the ceilings below or, when no node
+  /// ceiling is set, the BDS_NODE_LIMIT environment variable -- 0 meaning
+  /// "unlimited".
   util::BudgetPtr budget;
   std::size_t node_limit = 0;
   std::size_t byte_limit = 0;
@@ -73,8 +73,7 @@ struct PipelineStats {
 };
 
 /// `key=value` bindings for PassManager::from_script: script-declared
-/// parameters (PassRegistry ScriptParamDecl) plus the reserved pipeline
-/// keys `node_limit`, `byte_limit`, `time_limit` (budget ceilings) and
+/// parameters (PassRegistry ScriptParamDecl) plus the reserved keys
 /// `map`, `lut_k` (append a technology-mapping stage to any script).
 using ScriptParams = std::vector<std::pair<std::string, std::string>>;
 
@@ -93,14 +92,12 @@ class PassManager {
   /// expanded to that script's text first. Throws ScriptError on unknown
   /// passes or malformed arguments.
   static PassManager from_script(const std::string& script);
-  /// Same, binding `key=value` parameters: reserved budget keys
-  /// (node_limit, byte_limit, time_limit) become the pipeline's default
-  /// budget; reserved mapping keys (`map` = genlib path or "mcnc",
-  /// `lut_k` = LUT arity) append `map -lib <v>` / `lutmap -k <v>` passes
-  /// after the script's own commands; other keys must be declared by the
-  /// named script and are routed to their pass as flags (a binding wins
-  /// over a flag already in the text). Throws ScriptError on a key the
-  /// script does not declare.
+  /// Same, binding `key=value` parameters: reserved mapping keys (`map` =
+  /// genlib path or "mcnc", `lut_k` = LUT arity) append `map -lib <v>` /
+  /// `lutmap -k <v>` passes after the script's own commands; other keys
+  /// must be declared by the named script and are routed to their pass as
+  /// flags (a binding wins over a flag already in the text). Throws
+  /// ScriptError on a key the script does not declare.
   static PassManager from_script(const std::string& script,
                                  const ScriptParams& params);
 
@@ -114,22 +111,8 @@ class PassManager {
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
   bool empty() const { return passes_.empty(); }
 
-  /// Budget ceilings bound through from_script() reserved parameters
-  /// (0 / 0.0 = not bound). Used by run() when PipelineOptions carries
-  /// neither a budget nor explicit ceilings.
-  [[nodiscard]] std::size_t param_node_limit() const {
-    return param_node_limit_;
-  }
-  [[nodiscard]] std::size_t param_byte_limit() const {
-    return param_byte_limit_;
-  }
-  [[nodiscard]] double param_time_limit() const { return param_time_limit_; }
-
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
-  std::size_t param_node_limit_ = 0;
-  std::size_t param_byte_limit_ = 0;
-  double param_time_limit_ = 0.0;
 };
 
 }  // namespace bds::opt

@@ -7,11 +7,9 @@ namespace bds::opt {
 
 void ManagerPool::Lease::release() {
   if (mgr_ == nullptr) return;
-  // Strip per-run attachments before parking: a pooled manager must not
-  // keep a stale budget (it would throb the next lease's work against a
-  // finished request's ceilings) or a dangling sampler pointer.
+  // Strip the per-run budget before parking: a pooled manager must not
+  // throb the next lease's work against a finished request's ceilings.
   mgr_->set_budget(nullptr);
-  mgr_->set_gauge_sampler(nullptr);
   mgr_->reset();
   if (pool_ != nullptr) pool_->put_back(std::move(mgr_));
   pool_ = nullptr;

@@ -5,7 +5,7 @@
 // so the arena/cache allocations dominate small-cone work. The pool keeps
 // reset() managers around instead: acquire() hands out a recycled manager
 // (or constructs one when the pool is empty) and the RAII Lease returns it
-// on destruction after stripping the budget/sampler and reset()-ing it.
+// on destruction after stripping the budget and reset()-ing it.
 // reset() restores a manager to a state indistinguishable from freshly
 // constructed -- including the capacity-derived memory_bytes gauge, which
 // it shrinks back to the pristine footprint -- so pooling changes no
@@ -64,7 +64,7 @@ class ManagerPool {
     bdd::Manager* get() const { return mgr_.get(); }
 
     /// Returns the manager to the pool now (idempotent). The manager is
-    /// stripped of its budget and gauge sampler and reset() before it goes
+    /// stripped of its budget and reset() before it goes
     /// back, so the next acquire() sees fresh-constructed behavior.
     void release();
 

@@ -115,17 +115,6 @@ const char* RequestOptions::cli_help() {
 ScriptParams RequestOptions::to_script_params() const {
   ScriptParams params;
   if (jobs != 0) params.emplace_back("jobs", std::to_string(jobs));
-  if (node_limit != 0) {
-    params.emplace_back("node_limit", std::to_string(node_limit));
-  }
-  if (byte_limit != 0) {
-    params.emplace_back("byte_limit", std::to_string(byte_limit));
-  }
-  if (time_limit_ms != 0) {
-    params.emplace_back(
-        "time_limit",
-        std::to_string(static_cast<double>(time_limit_ms) / 1000.0));
-  }
   if (!map_lib.empty()) params.emplace_back("map", map_lib);
   if (lut_k != 0) params.emplace_back("lut_k", std::to_string(lut_k));
   return params;

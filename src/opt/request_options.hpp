@@ -72,9 +72,8 @@ struct RequestOptions {
   static const char* cli_help();
 
   /// The reserved/declared script parameter bindings these options imply
-  /// (jobs when nonzero, node_limit/byte_limit when nonzero, time_limit in
-  /// seconds when nonzero, map when map_lib is set, lut_k when nonzero)
-  /// for PassManager::from_script.
+  /// (jobs when nonzero, map when map_lib is set, lut_k when nonzero) for
+  /// PassManager::from_script. The ceilings travel through apply() only.
   [[nodiscard]] ScriptParams to_script_params() const;
 
   /// Translates into pipeline terms: check, the budget ceilings, and --

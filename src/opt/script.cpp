@@ -56,19 +56,6 @@ std::vector<ScriptCommand> parse_script(std::string_view text) {
   return commands;
 }
 
-std::string format_script(const std::vector<ScriptCommand>& commands) {
-  std::string out;
-  for (const ScriptCommand& cmd : commands) {
-    if (!out.empty()) out += "; ";
-    out += cmd.name;
-    for (const std::string& arg : cmd.args) {
-      out += ' ';
-      out += arg;
-    }
-  }
-  return out;
-}
-
 int parse_int_arg(std::string_view pass, std::string_view value) {
   int result = 0;
   const auto [ptr, ec] =
@@ -87,18 +74,6 @@ std::size_t parse_size_arg(std::string_view pass, std::string_view value) {
                       std::string(value) + "'");
   }
   return static_cast<std::size_t>(v);
-}
-
-double parse_double_arg(std::string_view pass, std::string_view value) {
-  double result = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc{} || ptr != value.data() + value.size() || result < 0) {
-    throw ScriptError(std::string(pass) +
-                      ": expected a non-negative number, got '" +
-                      std::string(value) + "'");
-  }
-  return result;
 }
 
 std::string flag_value(std::string_view pass,

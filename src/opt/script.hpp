@@ -32,18 +32,12 @@ struct ScriptCommand {
 /// are skipped. Throws ScriptError on stray characters.
 std::vector<ScriptCommand> parse_script(std::string_view text);
 
-/// Renders commands back to canonical one-line text ("a; b -1; c").
-/// parse_script(format_script(x)) == x for every command list.
-std::string format_script(const std::vector<ScriptCommand>& commands);
-
 // ---- argument parsing helpers for pass factories ------------------------------
 
 /// Parses a full-string integer; ScriptError mentioning `pass` otherwise.
 int parse_int_arg(std::string_view pass, std::string_view value);
 /// Parses a full-string non-negative integer.
 std::size_t parse_size_arg(std::string_view pass, std::string_view value);
-/// Parses a full-string non-negative real (seconds and the like).
-double parse_double_arg(std::string_view pass, std::string_view value);
 
 /// Returns the value following flag `flag` in `args` (e.g. "-passes" "4"),
 /// or `fallback` when absent. Throws when the flag is last with no value.

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -97,7 +98,10 @@ class Reader {
 
 void write_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
+    // MSG_NOSIGNAL: a peer that hung up (or a connection the daemon shut
+    // down under a blocked write) is an EPIPE error here, not a SIGPIPE
+    // that would kill the whole process.
+    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       throw Error(std::string("bdsd protocol: socket write failed: ") +

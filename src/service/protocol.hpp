@@ -108,11 +108,11 @@ struct ServerStats {
   // Admission layer (see service/admission.hpp and DESIGN.md §5h).
   std::uint64_t admitted = 0;          ///< requests accepted into the queue
   std::uint64_t sheds = 0;             ///< requests answered kOverloaded
-  std::uint64_t deadline_rejects = 0;  ///< expired before an executor ran them
-  std::uint64_t drained = 0;           ///< in-flight completed during drain
-  std::uint64_t queue_depth = 0;       ///< pending requests right now
-  std::uint64_t queue_bytes = 0;       ///< bytes held by pending requests
-  std::uint64_t in_flight = 0;         ///< admitted, not yet answered
+  std::uint64_t deadline_rejects = 0;  ///< expired before their turn came
+  std::uint64_t drained = 0;           ///< finished during drain or stop
+  std::uint64_t queue_depth = 0;       ///< admitted, waiting for a turn
+  std::uint64_t queue_bytes = 0;       ///< bytes held by waiting requests
+  std::uint64_t in_flight = 0;         ///< admitted and running
   std::uint64_t draining = 0;          ///< 1 after SIGTERM, else 0
 };
 
@@ -133,9 +133,10 @@ ServerStats decode_server_stats(const std::string& payload);
 
 // --- Framed socket I/O. ---
 
-/// Writes one frame to `fd`, handling short writes and EINTR. Throws
-/// bds::SerializeError when the payload exceeds kMaxFramePayload and
-/// bds::Error on a socket write failure.
+/// Writes one frame to the socket `fd`, handling short writes and EINTR.
+/// Throws bds::SerializeError when the payload exceeds kMaxFramePayload
+/// and bds::Error on a socket write failure, including a peer that hung
+/// up (never SIGPIPE).
 void write_frame(int fd, FrameType type, const std::string& payload);
 
 /// Reads one frame from `fd`. Returns false on clean EOF at a frame

@@ -9,9 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <utility>
-#include <vector>
 
 #include "net/network.hpp"
 #include "opt/manager.hpp"
@@ -35,9 +33,8 @@ Server::Server(ServerOptions options)
       cache_(std::make_shared<opt::ResultCache>(options_.cache_bytes)),
       pool_(std::make_shared<util::ThreadPool>(
           util::ThreadPool::resolve(options_.concurrency))),
-      workers_(util::ThreadPool::resolve(options_.concurrency)),
       admission_(AdmissionOptions{options_.queue_depth, options_.queue_bytes,
-                                  workers_}) {}
+                                  pool_->workers()}) {}
 
 Server::~Server() {
   if (listen_fd_ >= 0) {
@@ -81,19 +78,14 @@ void Server::serve() {
   if (listen_fd_ < 0) {
     throw Error("bdsd: serve() called before start()");
   }
-  std::vector<std::thread> executors;
-  executors.reserve(workers_);
-  for (unsigned i = 0; i < workers_; ++i) {
-    executors.emplace_back([this] { executor_loop(); });
-  }
-
-  // Tears the service down in dependency order: stop admitting, release
-  // the executors (they answer anything still queued), then hang up the
-  // reader threads. Runs on every exit path, including a poll() failure.
+  // Tears the service down in dependency order: close the gate (waiting
+  // requests are answered kShuttingDown, running ones finish), then hang
+  // up the connections, which also unblocks a response write to a peer
+  // that stopped reading, and join the reader threads. Runs on every exit
+  // path, including a poll() failure.
   const auto shutdown_all = [&] {
-    admission_.begin_drain();
     admission_.close();
-    for (std::thread& t : executors) t.join();
+    admission_.wait_runs_done();
     {
       const std::lock_guard<std::mutex> lock(conns_mu_);
       for (Connection& c : conns_) {
@@ -112,10 +104,9 @@ void Server::serve() {
 
   try {
     while (!stop_.load(std::memory_order_relaxed)) {
-      // Graceful drain is complete when nothing is admitted-but-unfinished
-      // *and* every finished response has reached its socket.
-      if (drain_.load(std::memory_order_relaxed) && admission_.idle() &&
-          undelivered_.load(std::memory_order_acquire) == 0) {
+      // Graceful drain is complete when no ticket is left at the gate: a
+      // ticket lives until its response has been written.
+      if (drain_.load(std::memory_order_relaxed) && admission_.idle()) {
         break;
       }
       reap_connections();
@@ -172,47 +163,54 @@ void Server::serve_connection(Connection* conn) {
       write_frame(fd, FrameType::kOptimizeResponse,
                   encode_optimize_response(response));
     };
+    const auto refuse = [&](Status status, std::string error,
+                            std::uint32_t retry_after_ms) {
+      OptimizeResponse response;
+      response.status = status;
+      response.error = std::move(error);
+      response.retry_after_ms = retry_after_ms;
+      send(response);
+    };
     while (read_frame(fd, type, payload)) {
       if (type == FrameType::kOptimizeRequest) {
-        auto item = std::make_shared<PendingRequest>();
-        item->request = decode_optimize_request(payload);
-        item->arrival = std::chrono::steady_clock::now();
-        item->bytes = payload.size();
-        std::future<OptimizeResponse> result = item->promise.get_future();
-        switch (admission_.offer(std::move(item))) {
-          case AdmitResult::kAdmitted: {
-            undelivered_.fetch_add(1, std::memory_order_acq_rel);
-            struct Delivered {
-              std::atomic<std::uint64_t>& counter;
-              ~Delivered() {
-                counter.fetch_sub(1, std::memory_order_acq_rel);
-              }
-            } delivered{undelivered_};
-            send(result.get());
+        const OptimizeRequest request = decode_optimize_request(payload);
+        const auto arrival = std::chrono::steady_clock::now();
+        AdmissionQueue::Ticket ticket;
+        switch (admission_.offer(payload.size(), request.options.priority,
+                                 ticket)) {
+          case AdmitResult::kAdmitted:
+            // Runs here once the gate gives it a turn. The slot is freed
+            // before the write, so a peer that stops reading stalls only
+            // its own connection; the ticket itself lives until the
+            // response is written, so a drain waiting for idle() never
+            // hangs up on an undelivered result.
+            if (ticket.wait_turn() && !stop_.load(std::memory_order_relaxed)) {
+              const OptimizeResponse response = handle(request, arrival);
+              ticket.finish_run();
+              send(response);
+            } else {
+              ticket.release();  // never write while holding a slot
+              refuse(Status::kShuttingDown,
+                     "server stopped before this queued request could run",
+                     0);
+            }
             break;
-          }
           case AdmitResult::kOverloaded: {
             // The shed path: no parse, no BDD work, just this frame --
             // which is what keeps a shed under the <10ms contract even
-            // when every executor is busy.
-            OptimizeResponse response;
-            response.status = Status::kOverloaded;
-            response.retry_after_ms = admission_.retry_after_ms();
-            response.error =
-                "server overloaded: pending-request queue is full; retry "
-                "after ~" +
-                std::to_string(response.retry_after_ms) + " ms";
-            send(response);
+            // when every running slot is busy.
+            const std::uint32_t hint = admission_.retry_after_ms();
+            refuse(Status::kOverloaded,
+                   "server overloaded: pending-request queue is full; retry "
+                   "after ~" +
+                       std::to_string(hint) + " ms",
+                   hint);
             break;
           }
-          case AdmitResult::kShuttingDown: {
-            OptimizeResponse response;
-            response.status = Status::kShuttingDown;
-            response.error =
-                "server is shutting down; no new work is admitted";
-            send(response);
+          case AdmitResult::kShuttingDown:
+            refuse(Status::kShuttingDown,
+                   "server is shutting down; no new work is admitted", 0);
             break;
-          }
         }
       } else if (type == FrameType::kServerStatsRequest) {
         write_frame(fd, FrameType::kServerStatsResponse,
@@ -231,29 +229,6 @@ void Server::serve_connection(Connection* conn) {
   ::close(fd);
   conn->fd = -1;
   conn->done = true;
-}
-
-void Server::executor_loop() {
-  std::shared_ptr<PendingRequest> item;
-  while (admission_.take(item)) {
-    const auto begin = std::chrono::steady_clock::now();
-    OptimizeResponse response;
-    if (stop_.load(std::memory_order_relaxed)) {
-      // Hard stop: queued work is answered, not run. (Graceful drain never
-      // reaches here with work queued -- it waits for idle instead.)
-      response.status = Status::kShuttingDown;
-      response.error = "server stopped before this queued request could run";
-    } else {
-      response = handle(item->request, item->arrival);
-    }
-    item->promise.set_value(std::move(response));
-    const double service_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - begin)
-            .count();
-    admission_.finish(service_ms);
-    item.reset();
-  }
 }
 
 OptimizeResponse Server::handle(const OptimizeRequest& request) {
@@ -285,20 +260,19 @@ OptimizeResponse Server::handle(
     // contract.
     util::TelemetrySpan admission_span =
         util::TelemetrySpan::open(telemetry.get(), "admission");
+    const ServerStats gate = admission_.counters();
     admission_span.count(
         "queued_ms",
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - arrival)
             .count());
-    admission_span.count("queue_depth",
-                         static_cast<double>(admission_.queued()));
-    admission_span.count("in_flight",
-                         static_cast<double>(admission_.in_flight()));
-    admission_span.count("admitted", static_cast<double>(admission_.admitted()));
-    admission_span.count("sheds", static_cast<double>(admission_.sheds()));
+    admission_span.count("queue_depth", static_cast<double>(gate.queue_depth));
+    admission_span.count("in_flight", static_cast<double>(gate.in_flight));
+    admission_span.count("admitted", static_cast<double>(gate.admitted));
+    admission_span.count("sheds", static_cast<double>(gate.sheds));
     admission_span.count("deadline_rejects",
-                         static_cast<double>(admission_.deadline_rejects()));
-    admission_span.count("drained", static_cast<double>(admission_.drained()));
+                         static_cast<double>(gate.deadline_rejects));
+    admission_span.count("drained", static_cast<double>(gate.drained));
   }
 
   // Deadline already blown (typically: it expired while the request sat in
@@ -321,10 +295,10 @@ OptimizeResponse Server::handle(
 
     const std::string script =
         ro.script.empty() ? std::string("bds") : ro.script;
-    // Everything the options imply for the script -- jobs, the ceilings,
-    // and the rev-3 mapping keys (map/lut_k append passes) -- comes from
-    // the one RequestOptions translation, so the daemon path and the CLIs
-    // build byte-identical pipelines for identical options.
+    // Everything the options imply for the script -- jobs and the rev-3
+    // mapping keys (map/lut_k append passes) -- comes from the one
+    // RequestOptions translation, so the daemon path and the CLIs build
+    // byte-identical pipelines for identical options.
     opt::PassManager manager =
         opt::PassManager::from_script(script, ro.to_script_params());
 
@@ -376,7 +350,7 @@ OptimizeResponse Server::handle(
 }
 
 ServerStats Server::stats() const {
-  ServerStats s;
+  ServerStats s = admission_.counters();
   s.requests = requests_.load(std::memory_order_relaxed);
   const opt::ResultCache::Stats cs = cache_->stats();
   s.cache_hits = cs.hits;
@@ -387,14 +361,6 @@ ServerStats Server::stats() const {
   s.cache_bytes = cs.bytes;
   s.pool_idle = opt::ManagerPool::global().idle();
   s.pool_constructed = opt::ManagerPool::global().constructed();
-  s.admitted = admission_.admitted();
-  s.sheds = admission_.sheds();
-  s.deadline_rejects = admission_.deadline_rejects();
-  s.drained = admission_.drained();
-  s.queue_depth = admission_.queued();
-  s.queue_bytes = admission_.queue_bytes_used();
-  s.in_flight = admission_.in_flight();
-  s.draining = admission_.draining() ? 1 : 0;
   return s;
 }
 

@@ -10,20 +10,25 @@
 // Concurrency model: one reader thread per connection decodes frames and
 // offers each optimize request to the AdmissionQueue
 // (service/admission.hpp) -- a bounded gate with a depth and byte ceiling.
-// Admitted requests are picked up by a fixed set of executor threads and
-// each runs under its own ResourceBudget (the request's ceilings plus its
-// arrival-anchored deadline) and a telemetry hub labeled `request-<id>`,
-// so traces from concurrent requests never interleave. A request the gate
-// rejects is answered immediately -- kOverloaded with a retry_after_ms
-// hint, or kShuttingDown during drain -- so overload costs a caller
-// microseconds, not a slot in an unbounded pile. Inner `-j` parallelism
-// still runs on the shared util::ThreadPool. See DESIGN.md §5h.
+// An admitted request waits at the gate for its turn (FIFO, at most
+// `concurrency` requests running at once) and then runs on the same
+// reader thread, under its own ResourceBudget (the request's ceilings
+// plus its arrival-anchored deadline) and a telemetry hub labeled
+// `request-<id>`, so traces from concurrent requests never interleave.
+// Its running slot is freed before the response is written, so a peer
+// that stops reading stalls only its own connection thread. A
+// request the gate rejects is answered immediately -- kOverloaded with a
+// retry_after_ms hint, or kShuttingDown during drain -- so overload costs
+// a caller microseconds, not a slot in an unbounded pile. Inner `-j`
+// parallelism still runs on the shared util::ThreadPool. See DESIGN.md
+// §5h.
 //
-// Shutdown: stop() (SIGINT) is the hard path -- queued requests are
-// answered kShuttingDown, only requests already executing finish.
+// Shutdown: stop() (SIGINT) is the hard path -- requests waiting at the
+// gate are answered kShuttingDown, only requests already running finish,
+// then every connection is shut down (unblocking any stalled write).
 // request_drain() (SIGTERM) is the graceful path -- everything already
 // admitted runs to completion and is delivered, while new offers are
-// answered kShuttingDown; serve() returns once the queue is idle.
+// answered kShuttingDown; serve() returns once the gate is idle.
 #pragma once
 
 #include <atomic>
@@ -46,12 +51,12 @@ struct ServerOptions {
   /// Filesystem path of the Unix-domain socket. A stale file from a
   /// previous run is unlinked before binding.
   std::string socket_path;
-  /// Request executors; 0 = hardware concurrency.
+  /// Requests optimized at once; 0 = hardware concurrency.
   unsigned concurrency = 0;
-  /// Pending-request ceiling of the admission queue (>= 1). Requests
+  /// Waiting-request ceiling of the admission gate (>= 1). Requests
   /// beyond it are shed with kOverloaded instead of queued.
   std::size_t queue_depth = 64;
-  /// Byte ceiling over the payloads of pending requests (0 = unlimited).
+  /// Byte ceiling over the payloads of waiting requests (0 = unlimited).
   std::size_t queue_bytes = 64u << 20;
   /// Byte budget of the shared ResultCache.
   std::size_t cache_bytes = opt::ResultCache::kDefaultByteBudget;
@@ -80,13 +85,13 @@ class Server {
   /// Requires start().
   void serve();
 
-  /// Hard stop: serve() returns promptly, queued requests are answered
-  /// kShuttingDown (only work already executing finishes). Safe from any
+  /// Hard stop: serve() returns promptly, waiting requests are answered
+  /// kShuttingDown (only work already running finishes). Safe from any
   /// thread and from signal-handler-adjacent contexts (only atomics).
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
-  /// Graceful drain (the SIGTERM path): admitted requests -- queued and
-  /// executing -- run to completion and are delivered; new requests are
+  /// Graceful drain (the SIGTERM path): admitted requests -- waiting and
+  /// running -- run to completion and are delivered; new requests are
   /// answered kShuttingDown; serve() returns once nothing is outstanding.
   /// Signal-safe (only atomics).
   void request_drain() {
@@ -94,10 +99,11 @@ class Server {
     admission_.begin_drain();
   }
 
-  /// Handles one decoded request in the calling thread -- the unit the
-  /// executors run, exposed directly so tests and the bench harness can
-  /// exercise daemon semantics without a socket. `arrival` anchors the
-  /// request's deadline_ms; the overload without it means "arrived now".
+  /// Handles one decoded request in the calling thread -- the unit each
+  /// connection thread runs once admitted, exposed directly so tests and
+  /// the bench harness can exercise daemon semantics without a socket.
+  /// `arrival` anchors the request's deadline_ms; the overload without it
+  /// means "arrived now".
   OptimizeResponse handle(const OptimizeRequest& request);
   OptimizeResponse handle(const OptimizeRequest& request,
                           std::chrono::steady_clock::time_point arrival);
@@ -120,7 +126,6 @@ class Server {
   };
 
   void serve_connection(Connection* conn);
-  void executor_loop();
   /// Joins and erases connections whose reader threads have exited.
   void reap_connections();
 
@@ -131,17 +136,11 @@ class Server {
   /// Constructed once per server lifetime: request handling never spawns
   /// or joins threads.
   std::shared_ptr<util::ThreadPool> pool_;
-  unsigned workers_;  ///< executor count (resolved concurrency)
   AdmissionQueue admission_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_{false};
   std::atomic<std::uint64_t> requests_{0};
-  /// Admitted responses not yet written back to their sockets. Drain waits
-  /// for this as well as AdmissionQueue::idle(): an executor may have
-  /// finished a request whose bytes are still in flight to the peer, and
-  /// hanging up then would lose a result the drain contract promises.
-  std::atomic<std::uint64_t> undelivered_{0};
   mutable std::mutex conns_mu_;
   std::list<Connection> conns_;
 };

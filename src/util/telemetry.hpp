@@ -28,9 +28,7 @@
 // (test_telemetry proves the zero-allocation property), and the BDD
 // manager's hot paths carry no telemetry branches at all -- manager
 // counters are observed from outside as `ManagerStats` deltas at span
-// boundaries, and the optional low-frequency `GaugeSampler` piggybacks on
-// the resource budget's amortized deadline tick (util/budget.hpp), so the
-// apply path gains no new branch in any configuration.
+// boundaries, so the apply path gains no branch in any configuration.
 #pragma once
 
 #include <cstddef>
@@ -297,25 +295,6 @@ class AggregateSink final : public TelemetrySink {
 
  private:
   std::vector<SpanEvent> events_;
-};
-
-/// Low-frequency gauge high-watermarks sampled from inside long BDD
-/// operation streams. `bdd::Manager` feeds one from its budget safe point,
-/// on the same amortized tick the budget uses for deadline clock reads
-/// (once per ResourceBudget::kDeadlineCheckInterval checks), so installing
-/// a sampler adds no branch to the apply hot path beyond the budget's own.
-/// Samples only accrue while a budget is installed -- without one the
-/// safe-point poll is a single pointer test and never reaches the sampler.
-struct GaugeSampler {
-  std::uint64_t samples = 0;         ///< how many ticks were observed
-  std::size_t live_nodes_max = 0;    ///< high-watermark of live nodes seen
-  std::size_t memory_bytes_max = 0;  ///< high-watermark of resident bytes
-
-  void sample(std::size_t live_nodes, std::size_t memory_bytes) {
-    ++samples;
-    if (live_nodes > live_nodes_max) live_nodes_max = live_nodes;
-    if (memory_bytes > memory_bytes_max) memory_bytes_max = memory_bytes;
-  }
 };
 
 }  // namespace bds::util

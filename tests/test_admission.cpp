@@ -1,21 +1,28 @@
-// The admission layer (PR 9 tentpole): the bounded gate between bdsd's
-// socket readers and its executors. Unit-level: depth and byte ceilings
-// shed immediately, the priority reserve keeps high-priority traffic
-// admissible under normal-priority flood, drain flips offers to
-// kShuttingDown while admitted work completes, and the client backoff
-// schedule respects its cap / the server's hint / the jitter band.
+// The admission layer: the bounded gate each bdsd request passes before
+// its connection thread runs it. Unit-level: depth and byte ceilings shed
+// immediately, the priority reserve keeps high-priority traffic
+// admissible under normal-priority flood, admitted tickets get their turn
+// in FIFO order, a finished run frees its slot before delivery, drain
+// flips offers to kShuttingDown while admitted work completes, a hard
+// stop turns waiting tickets away, and the client backoff schedule
+// respects its cap / the server's hint / the jitter band.
 // Server-level, over a real socket: a flood against a tiny queue sheds
 // fast and cheap while every admitted request stays byte-identical,
-// SIGTERM-style drain delivers in-flight work, and an expired deadline is
-// rejected before any BDD work starts.
+// SIGTERM-style drain delivers in-flight work, an expired deadline is
+// rejected before any BDD work starts, and a peer that never reads its
+// response holds no running slot and does not block a hard stop.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -77,68 +84,107 @@ class ServeThread {
   std::thread thread_;
 };
 
-std::shared_ptr<PendingRequest> pending(std::size_t bytes,
-                                        std::uint8_t priority = 0) {
-  auto item = std::make_shared<PendingRequest>();
-  item->request.options.priority = priority;
-  item->bytes = bytes;
-  item->arrival = std::chrono::steady_clock::now();
-  return item;
+using Ticket = AdmissionQueue::Ticket;
+
+/// Offers a request of `bytes` payload bytes; an admitted ticket joins
+/// `held`, in admission order.
+AdmitResult offer(AdmissionQueue& gate, std::vector<Ticket>& held,
+                  std::size_t bytes, std::uint8_t priority = 0) {
+  Ticket ticket;
+  const AdmitResult result = gate.offer(bytes, priority, ticket);
+  if (result == AdmitResult::kAdmitted) held.push_back(std::move(ticket));
+  return result;
+}
+
+/// Runs every held ticket in admission order: its turn, then its release.
+void run_all(std::vector<Ticket>& held) {
+  for (Ticket& ticket : held) {
+    ASSERT_TRUE(ticket.wait_turn());
+    ticket.release();
+  }
+  held.clear();
 }
 
 TEST(AdmissionQueue, DepthIsAHardBoundAndShedsBeyondIt) {
   AdmissionOptions options;
   options.queue_depth = 4;  // reserve = 1, so normal traffic gets 3 slots
-  options.workers = 1;
+  options.concurrency = 1;
   AdmissionQueue gate(options);
+  std::vector<Ticket> held;
 
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(gate.offer(pending(10)), AdmitResult::kAdmitted) << i;
+    EXPECT_EQ(offer(gate, held, 10), AdmitResult::kAdmitted) << i;
   }
-  EXPECT_EQ(gate.offer(pending(10)), AdmitResult::kOverloaded)
+  EXPECT_EQ(offer(gate, held, 10), AdmitResult::kOverloaded)
       << "slot 4 is the priority reserve";
   // The reserve admits high-priority traffic past the normal limit...
-  EXPECT_EQ(gate.offer(pending(10, opt::kPriorityHigh)),
+  EXPECT_EQ(offer(gate, held, 10, opt::kPriorityHigh),
             AdmitResult::kAdmitted);
   // ...but depth itself is absolute, even for high priority.
-  EXPECT_EQ(gate.offer(pending(10, opt::kPriorityHigh)),
+  EXPECT_EQ(offer(gate, held, 10, opt::kPriorityHigh),
             AdmitResult::kOverloaded);
-  EXPECT_EQ(gate.admitted(), 4u);
-  EXPECT_EQ(gate.sheds(), 2u);
+  EXPECT_EQ(gate.counters().admitted, 4u);
+  EXPECT_EQ(gate.counters().sheds, 2u);
 
-  // Draining the queue frees the slots again.
-  std::shared_ptr<PendingRequest> item;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(gate.take(item));
-    gate.finish(1.0);
-  }
+  // Running the waiting tickets frees the slots again.
+  ASSERT_EQ(held.size(), 4u);
+  run_all(held);
   EXPECT_TRUE(gate.idle());
-  EXPECT_EQ(gate.offer(pending(10)), AdmitResult::kAdmitted);
+  EXPECT_EQ(offer(gate, held, 10), AdmitResult::kAdmitted);
 }
 
 TEST(AdmissionQueue, ByteCeilingShedsOversizedBacklog) {
   AdmissionOptions options;
   options.queue_depth = 16;
   options.queue_bytes = 100;
-  options.workers = 1;
+  options.concurrency = 1;
   AdmissionQueue gate(options);
+  std::vector<Ticket> held;
 
-  EXPECT_EQ(gate.offer(pending(60)), AdmitResult::kAdmitted);
-  EXPECT_EQ(gate.offer(pending(60)), AdmitResult::kOverloaded)
+  EXPECT_EQ(offer(gate, held, 60), AdmitResult::kAdmitted);
+  EXPECT_EQ(offer(gate, held, 60), AdmitResult::kOverloaded)
       << "60 + 60 exceeds the 100-byte ceiling";
-  EXPECT_EQ(gate.offer(pending(40)), AdmitResult::kAdmitted);
-  EXPECT_EQ(gate.queue_bytes_used(), 100u);
+  EXPECT_EQ(offer(gate, held, 40), AdmitResult::kAdmitted);
+  EXPECT_EQ(gate.counters().queue_bytes, 100u);
 
-  // take() releases the bytes (the payload now lives with the executor).
-  std::shared_ptr<PendingRequest> item;
-  ASSERT_TRUE(gate.take(item));
-  EXPECT_EQ(gate.queue_bytes_used(), 40u);
-  gate.finish(1.0);
-  EXPECT_EQ(gate.offer(pending(60)), AdmitResult::kAdmitted);
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(gate.take(item));
-    gate.finish(1.0);
+  // A ticket's turn releases its bytes (the payload is no longer waiting).
+  ASSERT_TRUE(held[0].wait_turn());
+  EXPECT_EQ(gate.counters().queue_bytes, 40u);
+  held[0].release();
+  held.erase(held.begin());
+  EXPECT_EQ(offer(gate, held, 60), AdmitResult::kAdmitted);
+  ASSERT_EQ(held.size(), 2u);
+  run_all(held);
+  EXPECT_TRUE(gate.idle());
+}
+
+TEST(AdmissionQueue, TurnsComeInAdmissionOrder) {
+  AdmissionOptions options;
+  options.queue_depth = 8;  // reserve = 2, so normal traffic gets 6 slots
+  options.concurrency = 1;
+  AdmissionQueue gate(options);
+  std::vector<Ticket> held;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted) << i;
   }
+
+  // Waiters start in reverse, so every later ticket is already parked
+  // when the first one asks for its turn; one slot serializes the runs.
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::thread> waiters;
+  for (int i = 5; i >= 0; --i) {
+    waiters.emplace_back([&, i] {
+      const bool turn = held[static_cast<std::size_t>(i)].wait_turn();
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        order.push_back(turn ? i : -1);
+      }
+      held[static_cast<std::size_t>(i)].release();
+    });
+  }
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_TRUE(gate.idle());
 }
 
@@ -146,31 +192,83 @@ TEST(AdmissionQueue, DrainRejectsNewWorkWhileAdmittedWorkCompletes) {
   AdmissionOptions options;
   options.queue_depth = 8;
   AdmissionQueue gate(options);
+  std::vector<Ticket> held;
 
-  EXPECT_EQ(gate.offer(pending(1)), AdmitResult::kAdmitted);
+  EXPECT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
   gate.begin_drain();
   EXPECT_TRUE(gate.draining());
-  EXPECT_EQ(gate.offer(pending(1)), AdmitResult::kShuttingDown);
-  EXPECT_EQ(gate.offer(pending(1, opt::kPriorityHigh)),
+  EXPECT_EQ(offer(gate, held, 1), AdmitResult::kShuttingDown);
+  EXPECT_EQ(offer(gate, held, 1, opt::kPriorityHigh),
             AdmitResult::kShuttingDown)
       << "drain outranks priority";
   EXPECT_FALSE(gate.idle());
 
-  std::shared_ptr<PendingRequest> item;
-  ASSERT_TRUE(gate.take(item)) << "admitted work survives drain";
-  gate.finish(2.0);
+  ASSERT_TRUE(held[0].wait_turn()) << "admitted work survives drain";
+  held[0].release();
   EXPECT_TRUE(gate.idle());
-  EXPECT_EQ(gate.drained(), 1u);
+  EXPECT_EQ(gate.counters().drained, 1u);
+}
 
+TEST(AdmissionQueue, CloseTurnsWaitingTicketsAwayAndLetsRunningOnesFinish) {
+  AdmissionOptions options;
+  options.queue_depth = 8;
+  options.concurrency = 1;
+  AdmissionQueue gate(options);
+  std::vector<Ticket> held;
+  ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
+  ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
+  ASSERT_TRUE(held[0].wait_turn());
+
+  // The second ticket parks behind the running first one until close().
+  std::thread waiter([&] {
+    EXPECT_FALSE(held[1].wait_turn())
+        << "closed + waiting releases the reader without running it";
+    held[1].release();
+  });
+  // Give the waiter time to park; the outcome is the same if it has not.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   gate.close();
-  EXPECT_FALSE(gate.take(item)) << "closed + empty releases the executors";
+  waiter.join();
+  EXPECT_EQ(offer(gate, held, 1, opt::kPriorityHigh),
+            AdmitResult::kShuttingDown);
+  EXPECT_EQ(gate.counters().in_flight, 1u) << "running work is not cut off";
+  held[0].release();
+  gate.wait_runs_done();
+  EXPECT_TRUE(gate.idle());
+}
+
+// A request that has run frees its slot at once, before its response is
+// written; the gate stays non-idle until the ticket is dropped, so a
+// drain still waits for delivery.
+TEST(AdmissionQueue, FinishedRunFreesTheSlotButStaysUndelivered) {
+  AdmissionOptions options;
+  options.queue_depth = 8;
+  options.concurrency = 1;
+  AdmissionQueue gate(options);
+  std::vector<Ticket> held;
+  ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
+  ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
+  ASSERT_TRUE(held[0].wait_turn());
+  held[0].finish_run();
+  EXPECT_EQ(gate.counters().in_flight, 0u);
+  // With the one slot free, the next ticket runs at once (this would
+  // block forever if the first ticket still held the slot).
+  ASSERT_TRUE(held[1].wait_turn());
+  held[1].finish_run();
+  gate.wait_runs_done();
+  EXPECT_FALSE(gate.idle()) << "two responses are still being written";
+  held[1].release();
+  EXPECT_FALSE(gate.idle());
+  held[0].release();
+  EXPECT_TRUE(gate.idle());
 }
 
 TEST(AdmissionQueue, RetryHintStaysInItsClampAndTracksLoad) {
   AdmissionOptions options;
   options.queue_depth = 8;
-  options.workers = 2;
+  options.concurrency = 2;
   AdmissionQueue gate(options);
+  std::vector<Ticket> held;
 
   // Cold: the fallback estimate, still within [1ms, 30s].
   const std::uint32_t cold = gate.retry_after_ms();
@@ -179,15 +277,18 @@ TEST(AdmissionQueue, RetryHintStaysInItsClampAndTracksLoad) {
 
   // A backlog of slow requests raises the hint; it stays clamped.
   for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(gate.offer(pending(1)), AdmitResult::kAdmitted);
+    ASSERT_EQ(offer(gate, held, 1), AdmitResult::kAdmitted);
   }
-  std::shared_ptr<PendingRequest> item;
-  ASSERT_TRUE(gate.take(item));
-  gate.finish(400.0);  // seed the EWMA with a slow service time
+  ASSERT_TRUE(held[0].wait_turn());
+  // Seed the EWMA with a slow service time: 50 ms times a backlog of 6
+  // over 2 slots is far above the cold hint.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  held[0].release();
+  held.erase(held.begin());
   const std::uint32_t loaded = gate.retry_after_ms();
   EXPECT_GT(loaded, cold);
   EXPECT_LE(loaded, 30000u);
-  while (!gate.idle() && gate.take(item)) gate.finish(1.0);
+  run_all(held);
 }
 
 TEST(RetryBackoff, GrowsExponentiallyWithinTheJitterBand) {
@@ -402,6 +503,77 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   EXPECT_EQ(again.status, admitted[0].status) << again.error;
   EXPECT_EQ(again.blif, admitted[0].blif)
       << "drain must not change what an admitted request computes";
+}
+
+// A peer that sends a request and never reads its (large) response
+// stalls only its own connection: the slot is free once the request has
+// run, so the next client still gets its turn on a one-slot daemon, and a
+// hard stop still returns while the stalled write is pending.
+TEST(AdmissionServer, StalledReaderHoldsNoSlotAndDoesNotBlockStop) {
+  ServerOptions options;
+  options.socket_path = unique_socket_path("stalled");
+  options.concurrency = 1;
+  Server server(std::move(options));
+  server.start();
+  ServeThread serving(server);
+
+  // ~0.5 MB of two-input ANDs through `sweep`: the response is larger
+  // than a Unix socket's default send buffer (~200 KB), so its write
+  // blocks until read.
+  std::ostringstream big;
+  constexpr int kGates = 12000;
+  big << ".model stalled\n.inputs";
+  for (int i = 0; i <= kGates; ++i) big << " x" << i;
+  big << "\n.outputs";
+  for (int i = 0; i < kGates; ++i) big << " o" << i;
+  big << "\n";
+  for (int i = 0; i < kGates; ++i) {
+    big << ".names x" << i << " x" << i + 1 << " o" << i << "\n11 1\n";
+  }
+  big << ".end\n";
+  OptimizeRequest stalled;
+  stalled.blif = big.str();
+  stalled.options.script = "sweep";
+  stalled.options.bypass_cache = true;
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, server.socket_path().c_str(),
+              server.socket_path().size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  write_frame(fd, FrameType::kOptimizeRequest,
+              encode_optimize_request(stalled));
+
+  // Once the stalled request has run (in_flight back to 0), a second
+  // client gets the one slot.
+  while (server.stats().requests < 1 || server.stats().in_flight != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  OptimizeRequest small;
+  small.blif = heavy_blif();
+  small.options.bypass_cache = true;
+  {
+    Client client(server.socket_path());
+    client.connect();
+    const OptimizeResponse resp = client.optimize(small);
+    EXPECT_TRUE(completed(resp.status))
+        << "status " << static_cast<int>(resp.status) << ": " << resp.error;
+  }
+  EXPECT_EQ(server.stats().queue_depth, 0u);
+
+  // The stalled response is still unread; a hard stop returns anyway.
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  serving.join();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+  ::close(fd);
 }
 
 // The connect-failure satellite: a missing daemon raises ConnectError

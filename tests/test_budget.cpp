@@ -292,23 +292,6 @@ TEST(ScriptParams, JobsBindingReachesDecomposePass) {
   EXPECT_TRUE(found);
 }
 
-TEST(ScriptParams, ReservedKeysBecomePipelineCeilings) {
-  const opt::PassManager pm = opt::PassManager::from_script(
-      "bds", {{"node_limit", "123"}, {"byte_limit", "456"},
-              {"time_limit", "0.5"}});
-  EXPECT_EQ(pm.param_node_limit(), 123u);
-  EXPECT_EQ(pm.param_byte_limit(), 456u);
-  EXPECT_DOUBLE_EQ(pm.param_time_limit(), 0.5);
-}
-
-TEST(ScriptParams, ReservedKeysWorkOnAnyScript) {
-  // node_limit is pipeline-level, so even a script that declares no
-  // parameters accepts it.
-  const opt::PassManager pm =
-      opt::PassManager::from_script("rugged", {{"node_limit", "99"}});
-  EXPECT_EQ(pm.param_node_limit(), 99u);
-}
-
 TEST(ScriptParams, UndeclaredKeyIsRejected) {
   EXPECT_THROW(opt::PassManager::from_script("bds", {{"zoom", "1"}}),
                opt::ScriptError);
@@ -318,12 +301,16 @@ TEST(ScriptParams, UndeclaredKeyIsRejected) {
   // Raw script text has no declarations either.
   EXPECT_THROW(opt::PassManager::from_script("sweep", {{"jobs", "2"}}),
                opt::ScriptError);
+  // Budget ceilings are not script parameters: they reach a run only
+  // through PipelineOptions (RequestOptions::apply).
+  EXPECT_THROW(opt::PassManager::from_script("bds", {{"node_limit", "99"}}),
+               opt::ScriptError);
 }
 
 TEST(ScriptParams, MalformedValueIsRejected) {
-  EXPECT_THROW(opt::PassManager::from_script("bds", {{"node_limit", "many"}}),
+  EXPECT_THROW(opt::PassManager::from_script("bds", {{"jobs", "many"}}),
                opt::ScriptError);
-  EXPECT_THROW(opt::PassManager::from_script("bds", {{"time_limit", "-3"}}),
+  EXPECT_THROW(opt::PassManager::from_script("bds", {{"jobs", "-3"}}),
                opt::ScriptError);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the pipeline script grammar and the pass registry: parsing,
-// formatting round-trips, named-script resolution, and the error cases
-// (unknown pass, malformed arguments).
+// named-script resolution, and the error cases (unknown pass, malformed
+// arguments).
 #include <gtest/gtest.h>
 
 #include "opt/manager.hpp"
@@ -38,23 +38,6 @@ TEST(ScriptParse, SkipsEmptyCommandsAndComments) {
 TEST(ScriptParse, EmptyInputYieldsNoCommands) {
   EXPECT_TRUE(parse_script("").empty());
   EXPECT_TRUE(parse_script("  ;; \n # only a comment\n").empty());
-}
-
-TEST(ScriptFormat, RoundTripsThroughParse) {
-  const std::vector<ScriptCommand> cmds = {
-      {"sweep", {}},
-      {"eliminate", {"-1", "-passes", "2"}},
-      {"bds_decompose", {"-noreorder", "-nomux"}},
-  };
-  const std::string text = format_script(cmds);
-  EXPECT_EQ(text, "sweep; eliminate -1 -passes 2; bds_decompose -noreorder -nomux");
-  EXPECT_EQ(parse_script(text), cmds);
-}
-
-TEST(ScriptFormat, CanonicalFlowScriptsRoundTrip) {
-  for (const auto& [name, text] : PassRegistry::instance().list_scripts()) {
-    EXPECT_EQ(format_script(parse_script(text)), text) << name;
-  }
 }
 
 TEST(Registry, ListsTheBuiltinPasses) {

@@ -3,6 +3,9 @@
 // find the classic shared divisors.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "gen/gen.hpp"
 #include "opt/manager.hpp"
 #include "sis/optimize.hpp"
@@ -258,6 +261,25 @@ TEST(SisFullSimplify, NodeCapTripMidCoverKeepsFunctionsWhole) {
   const verify::CecResult r = verify::check_equivalence(before, net);
   EXPECT_EQ(r.status, verify::CecStatus::kEquivalent)
       << "failing output: " << r.failing_output;
+}
+
+// Past the node cap, full_simplify sifts once to get back under it. On a
+// carry chain the live count keeps crossing a small cap again however
+// far a sift brings it down, so sifting at every crossing costs seconds
+// on this adder. A second crossing must give up instead, leaving the
+// network as it was.
+TEST(SisFullSimplify, SecondCapCrossingGivesUpInsteadOfSiftingPerNode) {
+  Network net = gen::ripple_adder(128);
+  const std::string before = net::to_blif_string(net);
+  FullSimplifyOptions opts;
+  opts.max_manager_nodes = 2000;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(full_simplify(net, opts), 0u);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0) << "full_simplify kept sifting past the cap";
+  EXPECT_EQ(net::to_blif_string(net), before);
 }
 
 }  // namespace

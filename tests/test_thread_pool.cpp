@@ -1,17 +1,14 @@
 // ThreadPool unit tests: full index coverage, per-executor isolation,
 // reuse across jobs, exception propagation, the -j resolution rule, the
-// submit/Batch/wait primitives parallel_for builds on, and the bounded
-// MpmcQueue hand-off structure.
+// submit/Batch/wait primitives parallel_for builds on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "util/mpmc_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bds::util {
@@ -205,90 +202,6 @@ TEST(ThreadPool, ManyShortParallelForRoundsOnOnePool) {
     total += ran.load();
   }
   EXPECT_EQ(total, kRounds * kIndices);
-}
-
-TEST(MpmcQueue, FifoWithinCapacity) {
-  MpmcQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_EQ(q.size(), 5u);
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));  // empty, not closed: non-blocking miss
-}
-
-TEST(MpmcQueue, TryPushFailsWhenFullAndAfterClose) {
-  MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: the consumer-side inline fallback
-  int v = 0;
-  ASSERT_TRUE(q.try_pop(v));
-  EXPECT_TRUE(q.try_push(3));
-  q.close();
-  EXPECT_FALSE(q.try_push(4));
-  EXPECT_FALSE(q.push(5));  // blocking push fails immediately once closed
-}
-
-TEST(MpmcQueue, CloseDrainsRemainingItemsBeforeEndingPops) {
-  MpmcQueue<int> q(4);
-  EXPECT_TRUE(q.push(10));
-  EXPECT_TRUE(q.push(20));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 10);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 20);
-  EXPECT_FALSE(q.pop(v));  // closed and drained: consumer-loop exit
-}
-
-TEST(MpmcQueue, CloseIsIdempotentAndWakesBlockedConsumers) {
-  MpmcQueue<int> q(1);
-  std::thread consumer([&q] {
-    int v = 0;
-    EXPECT_FALSE(q.pop(v));  // parked until close, then closed+empty
-  });
-  q.close();
-  q.close();  // second close must be harmless
-  consumer.join();
-}
-
-TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 2'000;
-  MpmcQueue<int> q(8);  // deliberately tight: exercises full/empty parking
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kConsumers);
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int v = 0;
-      while (q.pop(v)) {
-        sum.fetch_add(v, std::memory_order_relaxed);
-        popped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[kConsumers + p].join();
-  q.close();
-  for (int c = 0; c < kConsumers; ++c) threads[c].join();
-  constexpr long long kTotal = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
 }
 
 }  // namespace
