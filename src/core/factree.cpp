@@ -40,23 +40,6 @@ FactoringForest::FactoringForest() {
   next_.assign(nodes_.size(), 0xffffffffu);
 }
 
-void FactoringForest::restore_nodes(std::vector<FactNode> nodes) {
-  assert(nodes.size() >= 2 && nodes[0].kind == FactKind::kConst0 &&
-         nodes[1].kind == FactKind::kConst1);
-  nodes_ = std::move(nodes);
-  std::size_t nbuckets = 64;
-  while (nodes_.size() > nbuckets * 2) nbuckets *= 2;
-  buckets_.assign(nbuckets, 0xffffffffu);
-  next_.assign(nodes_.size(), 0xffffffffu);
-  // Chain in index order, exactly as rehash() would after the same
-  // sequence of interns: later mk_* calls find identical chains.
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const std::size_t b = hash_node(nodes_[i]);
-    next_[i] = buckets_[b];
-    buckets_[b] = i;
-  }
-}
-
 std::size_t FactoringForest::hash_node(const FactNode& n) const {
   std::uint64_t h = static_cast<std::uint64_t>(n.kind);
   h = h * 0x9e3779b97f4a7c15ULL + n.var;

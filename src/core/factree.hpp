@@ -57,6 +57,11 @@ class FactoringForest {
 
   const FactNode& node(FactId id) const { return nodes_[id]; }
   std::size_t size() const { return nodes_.size(); }
+  /// Heap bytes held by the node arena and its structural-hash index.
+  std::size_t memory_bytes() const {
+    return nodes_.capacity() * sizeof(FactNode) +
+           (buckets_.capacity() + next_.capacity()) * sizeof(std::uint32_t);
+  }
 
   bool eval(FactId id, const std::vector<bool>& assignment) const;
   /// Number of distinct operator nodes (gates) reachable from the roots;
@@ -78,15 +83,6 @@ class FactoringForest {
   /// factoring trees into the network-wide forest.
   FactId copy_into(FactoringForest& dst, FactId root,
                    const std::vector<FactId>& leaf_map) const;
-
-  /// Replaces the whole arena with `nodes` (which must start with the
-  /// kConst0/kConst1 slots, as every forest does) and rebuilds the
-  /// structural-hash index over it. This is the decode half of the result
-  /// cache's forest-fragment serialization: restoring the exact node vector
-  /// a cold decomposition produced makes every later copy_into splice --
-  /// and therefore the emitted network -- byte-identical to the cold run.
-  /// The caller validates the node vector (opt/result_cache.cpp does).
-  void restore_nodes(std::vector<FactNode> nodes);
 
  private:
   FactId intern(FactNode n);

@@ -15,12 +15,18 @@ namespace bds::net {
 
 namespace {
 
+/// Splits on whitespace. No stream per line: a flat netlist has one line
+/// per cube, so this runs hundreds of thousands of times.
 std::vector<std::string> tokenize(const std::string& line) {
+  constexpr const char* kBlank = " \t\n\v\f\r";
   std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) tokens.push_back(t);
-  return tokens;
+  std::size_t end = 0;
+  for (;;) {
+    const std::size_t begin = line.find_first_not_of(kBlank, end);
+    if (begin == std::string::npos) return tokens;
+    end = line.find_first_of(kBlank, begin);
+    tokens.push_back(line.substr(begin, end - begin));
+  }
 }
 
 struct PendingNames {

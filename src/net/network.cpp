@@ -45,13 +45,12 @@ NodeId Network::add_node(const std::string& name, std::vector<NodeId> fanins,
 }
 
 void Network::set_output(const std::string& name, NodeId driver) {
-  for (auto& [po_name, po_driver] : outputs_) {
-    if (po_name == name) {
-      po_driver = driver;
-      return;
-    }
+  const auto [it, fresh] = output_index_.emplace(name, outputs_.size());
+  if (fresh) {
+    outputs_.emplace_back(name, driver);
+  } else {
+    outputs_[it->second].second = driver;
   }
-  outputs_.emplace_back(name, driver);
 }
 
 NodeId Network::find(const std::string& name) const {

@@ -41,7 +41,8 @@ class Network {
   /// Adds a logic node computing `func` over `fanins` (in that order).
   NodeId add_node(const std::string& name, std::vector<NodeId> fanins,
                   sop::Sop func);
-  /// Registers (or re-targets) a primary output.
+  /// Registers a primary output, or re-targets the one of that name (which
+  /// keeps its position). O(1).
   void set_output(const std::string& name, NodeId driver);
 
   NodeId find(const std::string& name) const;
@@ -95,6 +96,8 @@ class Network {
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
   std::vector<std::pair<std::string, NodeId>> outputs_;
+  /// Position of each primary output in outputs_, by name.
+  std::unordered_map<std::string, std::size_t> output_index_;
   std::unordered_map<std::string, NodeId> by_name_;
   unsigned fresh_counter_ = 0;
 };

@@ -301,10 +301,10 @@ class BdsDecomposePass final : public Pass {
   //            because index order keeps the cache's LRU lookups
   //            deterministic; reorder + decompose of different cones
   //            overlap freely. At most `jobs` leases are live at once.
-  //   merge -- serial, in cone index order, after the loop: fragments are
-  //            spliced into the flow forest and fresh ones published to the
-  //            cache, so the emitted network and the absorbed telemetry are
-  //            byte-identical to -j1 at every worker count.
+  //   merge -- serial, in cone index order, after the loop: cone results
+  //            are spliced into the flow forest and fresh ones published
+  //            to the cache, so the emitted network and the absorbed
+  //            telemetry are byte-identical to -j1 at every worker count.
   //
   // The first error (budget cancellation, a stale-partition ScriptError,
   // bad_alloc) is stored under the staging lock; every slot then stops
@@ -330,15 +330,13 @@ class BdsDecomposePass final : public Pass {
       /// Peak gauges of the cone's manager, captured when its lease ends.
       std::size_t peak_nodes = 0;
       std::size_t peak_bytes = 0;
-      core::FactoringForest forest;
-      core::FactId root = core::kNoFact;
-      core::DecomposeStats stats;
-      /// Budget tripped on this cone: the merge rebuilds it from its
-      /// original SOP cone instead of the (abandoned) BDD decomposition.
-      bool degraded = false;
-      /// Served from the content-addressed result cache: forest/root/stats
-      /// were decoded from an earlier request's decomposition of the same
-      /// canonical function, and the cone is never decomposed here.
+      /// The cone's decomposition once it has one. Null after the loop
+      /// means the budget tripped on this cone: the merge rebuilds it from
+      /// its original SOP cone instead of the (abandoned) BDD decomposition.
+      std::shared_ptr<const ConeResult> result;
+      /// Served from the content-addressed result cache: `result` is an
+      /// earlier request's decomposition of the same canonical function,
+      /// and the cone is never decomposed here.
       bool cached = false;
       std::uint64_t cache_key = 0;
     };
@@ -379,8 +377,8 @@ class BdsDecomposePass final : public Pass {
     // Stages cone `s` (caller holds the staging lock): leases its manager,
     // transfers its function out of the partition manager and looks it up
     // in the result cache. Returns true when the cone still needs reorder
-    // and decompose; false leaves it degraded or cached, lease already
-    // returned.
+    // and decompose; false leaves it degraded (no result) or cached, lease
+    // already returned.
     const auto stage = [&](std::size_t s) {
       const core::Supernode& sn = st.part.supernodes[s];
       Item& item = items[s];
@@ -388,7 +386,6 @@ class BdsDecomposePass final : public Pass {
       if (st.part.degraded) {
         // Trivial partition: the supernode `func` handles are invalid by
         // contract. Every item goes straight to the fallback path.
-        item.degraded = true;
         if (cache != nullptr) ++cache_skipped;
         return false;
       }
@@ -433,7 +430,6 @@ class BdsDecomposePass final : public Pass {
             st.pmgr->transfer_to(*item.mgr, sn.func.edge(), var_map));
       } catch (const BudgetExceeded& e) {
         if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
-        item.degraded = true;
         item.func = Bdd();
         item.mgr.release();
         // This cone never reached cache lookup; without counting it
@@ -444,15 +440,14 @@ class BdsDecomposePass final : public Pass {
       }
       // Content-addressed lookup: the freshly transferred function in a
       // compact identity-ordered manager hashes the same for the same cone
-      // in any request, so a hit replays an earlier decomposition of it --
-      // forest bytes, root and stats.
+      // in any request, so a hit reuses an earlier decomposition of it --
+      // forest, root and stats.
       if (cache != nullptr) {
         item.cache_key = decompose_cache_key(
             core::canonical_function_hash(*item.mgr, item.func.edge()),
             opts_, reorder_, item.k);
-        std::string bytes;
-        if (cache->lookup(item.cache_key, bytes) &&
-            decode_fragment(bytes, item.forest, item.root, item.stats)) {
+        item.result = cache->lookup(item.cache_key);
+        if (item.result != nullptr) {
           item.cached = true;
           ++cache_hits;
           item.func = Bdd();
@@ -493,20 +488,18 @@ class BdsDecomposePass final : public Pass {
           before = mgr.stats();
           epoch = util::TelemetrySpan::open(rec, "epoch:decompose");
         }
-        core::Decomposer dec(mgr, item.forest, opts_);
-        item.root = dec.decompose(item.func);
-        item.stats = dec.stats();
+        auto result = std::make_shared<ConeResult>();
+        core::Decomposer dec(mgr, result->forest, opts_);
+        result->root = dec.decompose(item.func);
+        result->stats = dec.stats();
+        item.result = std::move(result);
         if (epoch.active()) {
           attach_counters(epoch, bdd::telemetry_counters(mgr.stats(), &before));
         }
       } catch (const BudgetExceeded& e) {
         // Cancellation unwinds the whole pass; only resource exhaustion
-        // degrades. Discard whatever was half-built.
+        // degrades, leaving the cone without a result.
         if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
-        item.forest = core::FactoringForest();
-        item.root = core::kNoFact;
-        item.stats = core::DecomposeStats();
-        item.degraded = true;
       }
       item.peak_nodes = mgr.stats().peak_live_nodes;
       item.peak_bytes = mgr.stats().peak_memory_bytes;
@@ -546,8 +539,10 @@ class BdsDecomposePass final : public Pass {
             ++cones_run[slot];
           }
           if (span.active()) {
-            attach_decompose_counters(span, item.stats);
-            if (item.degraded) span.count("degraded", 1.0);
+            attach_decompose_counters(span, item.result != nullptr
+                                                ? item.result->stats
+                                                : core::DecomposeStats());
+            if (item.result == nullptr) span.count("degraded", 1.0);
             if (item.cached) span.count("cache_hit", 1.0);
             span.attr("executor", std::to_string(slot));
             span.count("busy_seconds", timer.seconds());
@@ -588,38 +583,35 @@ class BdsDecomposePass final : public Pass {
     for (std::size_t s = 0; s < num_supernodes; ++s) {
       const core::Supernode& sn = st.part.supernodes[s];
       Item& item = items[s];
-      const core::DecomposeStats& d = item.stats;
-      st.decompose.one_dominator += d.one_dominator;
-      st.decompose.zero_dominator += d.zero_dominator;
-      st.decompose.x_dominator += d.x_dominator;
-      st.decompose.functional_mux += d.functional_mux;
-      st.decompose.generalized_and += d.generalized_and;
-      st.decompose.generalized_or += d.generalized_or;
-      st.decompose.generalized_xnor += d.generalized_xnor;
-      st.decompose.shannon += d.shannon;
-
-      if (item.degraded) {
+      if (item.result == nullptr) {
         ++degraded_count;
         st.roots.push_back(fallback_factor_cone(net, st, sn.id,
                                                 fallback_memo));
       } else {
-        // Publish fresh (non-degraded, non-cached) decompositions before
-        // the splice; inserting serially in index order keeps the cache's
-        // LRU state deterministic per request stream.
+        const ConeResult& r = *item.result;
+        st.decompose.one_dominator += r.stats.one_dominator;
+        st.decompose.zero_dominator += r.stats.zero_dominator;
+        st.decompose.x_dominator += r.stats.x_dominator;
+        st.decompose.functional_mux += r.stats.functional_mux;
+        st.decompose.generalized_and += r.stats.generalized_and;
+        st.decompose.generalized_or += r.stats.generalized_or;
+        st.decompose.generalized_xnor += r.stats.generalized_xnor;
+        st.decompose.shannon += r.stats.shannon;
+        // Publish fresh (non-degraded, non-cached) decompositions;
+        // inserting serially in index order keeps the cache's LRU state
+        // deterministic per request stream.
         if (cache != nullptr && !item.cached) {
-          cache->insert(item.cache_key,
-                        encode_fragment(item.forest, item.root, item.stats));
+          cache->insert(item.cache_key, item.result);
         }
         std::vector<core::FactId> leaf_map(item.k);
         for (std::uint32_t i = 0; i < item.k; ++i) {
           leaf_map[i] = st.forest.mk_var(st.sig_of[sn.inputs[i]]);
         }
-        st.roots.push_back(
-            item.forest.copy_into(st.forest, item.root, leaf_map));
+        st.roots.push_back(r.forest.copy_into(st.forest, r.root, leaf_map));
       }
       st.peak_local_nodes = std::max(st.peak_local_nodes, item.peak_nodes);
       st.peak_local_bytes = std::max(st.peak_local_bytes, item.peak_bytes);
-      item.forest = core::FactoringForest();
+      item.result.reset();
     }
     if (merge_span.active()) {
       merge_span.count("fallbacks", static_cast<double>(degraded_count));

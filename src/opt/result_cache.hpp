@@ -2,28 +2,38 @@
 //
 // Key: the canonical-function digest of a supernode's BDD
 // (core::canonical_function_hash) folded with a fingerprint of every
-// decomposition option that influences the result. Value: the serialized
-// factoring-forest fragment the cold decomposition produced -- the private
-// forest's exact node vector, the root id, and the DecomposeStats -- so a
-// hit skips reorder+decompose entirely and splices into stage 3 of
-// bds_decompose byte-identically to the cold run (the fragment is the cold
-// run's output, bit for bit, stats included).
+// decomposition option that influences the result. Value: the cone's
+// decomposition itself -- one immutable ConeResult (private forest, root,
+// DecomposeStats) shared by pointer -- so a hit skips reorder+decompose
+// entirely and splices into stage 3 of bds_decompose with the same const
+// copy_into a cold cone uses, byte-identically to the cold run.
 //
-// Eviction is LRU by byte budget under one mutex; lookups copy the value
-// out so decoding happens outside the lock. Shared across requests by the
-// bdsd daemon, injected per pipeline through PipelineOptions::result_cache.
+// Eviction is LRU by byte budget under one mutex; each entry is charged
+// the heap bytes of its forest. A lookup hands out a shared reference, so
+// a result a request still holds outlives its eviction. Shared across
+// requests by the bdsd daemon, injected per pipeline through
+// PipelineOptions::result_cache.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "core/decompose.hpp"
 #include "core/factree.hpp"
 
 namespace bds::opt {
+
+/// One cone's decomposition: its private factoring forest, the root of the
+/// cone's tree in it, and the decomposition counters. bds_decompose builds
+/// it once; afterwards it is only read, by any number of requests at once.
+struct ConeResult {
+  core::FactoringForest forest;
+  core::FactId root = core::kNoFact;
+  core::DecomposeStats stats;
+};
 
 class ResultCache {
  public:
@@ -36,13 +46,20 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Copies the cached value for `key` into `value` and promotes the entry
-  /// to most-recently-used. Counts a hit or a miss either way.
-  bool lookup(std::uint64_t key, std::string& value);
+  /// Returns the cached result for `key` (null on a miss) and promotes the
+  /// entry to most-recently-used. Counts a hit or a miss either way.
+  std::shared_ptr<const ConeResult> lookup(std::uint64_t key);
 
-  /// Inserts (or refreshes) `key`, then evicts LRU entries until the byte
-  /// budget holds. A value larger than the whole budget is not cached.
-  void insert(std::uint64_t key, std::string value);
+  /// Inserts `key`, then evicts LRU entries until the byte budget holds. A
+  /// key already present is only promoted: identical keys carry identical
+  /// results. A result larger than the whole budget is not cached.
+  void insert(std::uint64_t key, std::shared_ptr<const ConeResult> value);
+
+  /// Bytes an entry is charged: the heap bytes of its forest, a pure
+  /// function of the result, so eviction is deterministic.
+  static std::size_t charge(const ConeResult& value) {
+    return value.forest.memory_bytes();
+  }
 
   struct Stats {
     std::size_t hits = 0;
@@ -50,7 +67,7 @@ class ResultCache {
     std::size_t insertions = 0;
     std::size_t evictions = 0;
     std::size_t entries = 0;  ///< current resident entries
-    std::size_t bytes = 0;    ///< current resident value bytes
+    std::size_t bytes = 0;    ///< current resident charged bytes
   };
   [[nodiscard]] Stats stats() const;
 
@@ -60,7 +77,7 @@ class ResultCache {
   /// Front = most recently used; Entry::lru points into this list.
   std::list<std::uint64_t> lru_;
   struct Entry {
-    std::string bytes;
+    std::shared_ptr<const ConeResult> value;
     std::list<std::uint64_t>::iterator lru;
   };
   std::unordered_map<std::uint64_t, Entry> map_;
@@ -71,28 +88,12 @@ class ResultCache {
 /// the decomposition result: the option set and the input arity. The `-j`
 /// level is deliberately absent (output is byte-identical across -j), as
 /// is the budget (a degraded result is never cached). Technology-mapping
-/// options are also deliberately absent: the cached fragments are pre-emit
+/// options are also deliberately absent: the cached results are pre-emit
 /// factoring trees consumed before `bds_emit`, so they are independent of
 /// any later `map`/`lutmap` pass and mapped and unmapped requests share
 /// them (DESIGN.md §5i).
 [[nodiscard]] std::uint64_t decompose_cache_key(
     std::uint64_t function_hash, const core::DecomposeOptions& opts,
     bool reorder, std::uint32_t num_inputs);
-
-/// Serializes the fragment `(forest nodes, root, stats)` into a byte
-/// string. In-process format (the cache never leaves the daemon), written
-/// field by field so struct padding never leaks in.
-[[nodiscard]] std::string encode_fragment(const core::FactoringForest& forest,
-                                          core::FactId root,
-                                          const core::DecomposeStats& stats);
-
-/// Decodes a fragment into `forest` (replacing its contents), `root` and
-/// `stats`. Returns false -- leaving the outputs untouched -- on any
-/// structural violation (bad kinds, forward child references, bad root),
-/// so a corrupted or truncated value degrades to a cache miss.
-[[nodiscard]] bool decode_fragment(const std::string& bytes,
-                                   core::FactoringForest& forest,
-                                   core::FactId& root,
-                                   core::DecomposeStats& stats);
 
 }  // namespace bds::opt

@@ -311,7 +311,7 @@ OptimizeResponse Server::handle(
     // on shared threads instead of each pass spawning and joining a fresh
     // pool per invocation.
     popts.thread_pool = pool_;
-    if (options_.enable_cache && !ro.bypass_cache) {
+    if (options_.cache_bytes != 0 && !ro.bypass_cache) {
       popts.result_cache = cache_;
     }
 

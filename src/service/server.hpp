@@ -3,7 +3,7 @@
 // A long-lived server owning the two cross-request amortization structures
 // the single-shot CLI cannot have: the content-addressed ResultCache
 // (opt/result_cache.hpp), so a cone already decomposed under the same
-// options is merged straight from its cached factoring-forest fragment,
+// options is spliced straight from its shared cached result,
 // and the global ManagerPool (opt/manager_pool.hpp), so BDD managers are
 // recycled instead of reconstructed per supernode.
 //
@@ -58,12 +58,10 @@ struct ServerOptions {
   std::size_t queue_depth = 64;
   /// Byte ceiling over the payloads of waiting requests (0 = unlimited).
   std::size_t queue_bytes = 64u << 20;
-  /// Byte budget of the shared ResultCache.
+  /// Byte budget of the shared ResultCache; 0 turns the cache off.
+  /// Individual requests can also opt out with bypass_cache (how the
+  /// determinism tests get cache-free runs from a warm daemon).
   std::size_t cache_bytes = opt::ResultCache::kDefaultByteBudget;
-  /// Master switch for the ResultCache; individual requests can also opt
-  /// out with bypass_cache (how the determinism tests get cache-free
-  /// runs from a warm daemon).
-  bool enable_cache = true;
   /// When nonempty, each request writes its telemetry trace to
   /// `<trace_dir>/request-<id>.jsonl`. Empty = tracing off.
   std::string trace_dir;

@@ -12,7 +12,7 @@
 //   * `AggregateSink`   -- in-memory event store that renders the
 //                          `-profile` summary (top-k passes/supernodes by
 //                          time, cache hit rate per phase, degradation
-//                          events) and rebuilds the `-stats` pass table.
+//                          events) and sums counters over its events.
 //
 // Determinism contract: every field of a `SpanEvent` except wall time and
 // the explicitly execution-dependent counters/labels (`exec_*`, see

@@ -74,6 +74,24 @@ TEST(Blif, ConstantNodes) {
   EXPECT_EQ(net.eval({false}), (std::vector<bool>{true, false}));
 }
 
+TEST(Blif, RepeatedOutputNameIsOnePrimaryOutput) {
+  const Network net = parse_blif_string(
+      ".model r\n.inputs a b\n.outputs y z y\n"
+      ".names a b y\n11 1\n.names a z\n0 1\n.end\n");
+  ASSERT_EQ(net.num_outputs(), 2u);  // in order of first appearance
+  EXPECT_EQ(net.outputs()[0].first, "y");
+  EXPECT_EQ(net.outputs()[1].first, "z");
+  EXPECT_EQ(net.eval({true, true}), (std::vector<bool>{true, false}));
+
+  // Re-setting an existing output replaces its driver in place.
+  Network copy = net;
+  copy.set_output("y", copy.find("z"));
+  ASSERT_EQ(copy.num_outputs(), 2u);
+  EXPECT_EQ(copy.outputs()[0].second, copy.find("z"));
+  copy.set_output("w", copy.find("y"));
+  EXPECT_EQ(copy.outputs()[2].first, "w");
+}
+
 TEST(Blif, ErrorsCarryLineNumbers) {
   try {
     parse_blif_string(".model m\n.inputs a\n.outputs o\n.names a o\n1x 1\n");

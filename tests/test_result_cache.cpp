@@ -1,13 +1,15 @@
 // The content-addressed result cache and the manager pool (the bdsd
 // daemon's two cross-request amortization structures): canonical function
-// hashing must be manager-independent, fragments must round-trip the exact
-// forest node vector, corruption must degrade to a miss, LRU eviction must
-// respect the byte budget, and a recycled pooled manager must be
-// indistinguishable from a fresh one -- memory gauge included.
+// hashing must be manager-independent, a cached cone result must splice
+// byte-identically however long a request holds it and however many
+// requests read it at once, LRU eviction must respect the byte budget, and
+// a recycled pooled manager must be indistinguishable from a fresh one --
+// memory gauge included.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -27,8 +29,6 @@ using bdd::Manager;
 using core::DecomposeOptions;
 using core::DecomposeStats;
 using core::FactId;
-using core::FactKind;
-using core::FactNode;
 using core::FactoringForest;
 
 TEST(CanonicalFunctionHash, IndependentOfManagerAndBuildOrder) {
@@ -139,109 +139,105 @@ TEST(ResultCache, WarmHitsPlusMissesStillCoverEverySupernode) {
   }
 }
 
-FactoringForest sample_forest(FactId& root) {
-  FactoringForest forest;
-  const FactId x = forest.mk_var(0);
-  const FactId y = forest.mk_var(1);
-  const FactId z = forest.mk_var(2);
-  root = forest.mk_or(forest.mk_and(x, y), forest.mk_mux(z, x, y));
-  return forest;
+/// A decomposition-shaped result over variables 0..2; `salt` varies the
+/// tree (and so the cache key a test files it under) without changing the
+/// shape, so every salt is charged the same bytes.
+std::shared_ptr<const ConeResult> sample_result(bdd::Var salt = 0) {
+  auto r = std::make_shared<ConeResult>();
+  FactoringForest& f = r->forest;
+  const FactId x = f.mk_var(salt % 3);
+  const FactId y = f.mk_var((salt + 1) % 3);
+  const FactId z = f.mk_var((salt + 2) % 3);
+  r->root = f.mk_or(f.mk_and(x, y), f.mk_mux(z, x, y));
+  r->stats.functional_mux = 1;
+  return r;
 }
 
-TEST(FragmentCodec, RoundTripsNodesRootAndStats) {
-  FactId root = core::kNoFact;
-  const FactoringForest forest = sample_forest(root);
-  DecomposeStats stats;
-  stats.one_dominator = 3;
-  stats.functional_mux = 1;
-  stats.shannon = 7;
-
-  const std::string bytes = encode_fragment(forest, root, stats);
-
-  FactoringForest out;
-  FactId out_root = core::kNoFact;
-  DecomposeStats out_stats;
-  ASSERT_TRUE(decode_fragment(bytes, out, out_root, out_stats));
-  EXPECT_EQ(out_root, root);
-  EXPECT_EQ(out_stats.one_dominator, 3u);
-  EXPECT_EQ(out_stats.functional_mux, 1u);
-  EXPECT_EQ(out_stats.shannon, 7u);
-  ASSERT_EQ(out.size(), forest.size());
-  for (FactId i = 0; i < forest.size(); ++i) {
-    EXPECT_EQ(out.node(i).kind, forest.node(i).kind);
-    EXPECT_EQ(out.node(i).var, forest.node(i).var);
-    EXPECT_EQ(out.node(i).a, forest.node(i).a);
-    EXPECT_EQ(out.node(i).b, forest.node(i).b);
-    EXPECT_EQ(out.node(i).c, forest.node(i).c);
-  }
-  // The restored forest interns against the rebuilt hash index: re-making
-  // existing nodes must find them, not append duplicates.
-  const std::size_t before = out.size();
-  const FactId x = out.mk_var(0);
-  const FactId y = out.mk_var(1);
-  const FactId a = out.mk_and(x, y);
-  EXPECT_EQ(out.size(), before);
-  EXPECT_LT(a, before);
+/// Splices `r` into a fresh forest over leaves 10, 11, 12 and renders it.
+std::string splice(const ConeResult& r) {
+  FactoringForest dst;
+  std::vector<FactId> leaf_map;
+  for (bdd::Var v = 10; v < 13; ++v) leaf_map.push_back(dst.mk_var(v));
+  return dst.to_string(r.forest.copy_into(dst, r.root, leaf_map));
 }
 
-TEST(FragmentCodec, CorruptionDegradesToAMiss) {
-  FactId root = core::kNoFact;
-  const FactoringForest forest = sample_forest(root);
-  const std::string good = encode_fragment(forest, root, DecomposeStats{});
+TEST(ResultCache, HeldResultOutlivesItsEvictionAndSplicesIdentically) {
+  const std::size_t one = ResultCache::charge(*sample_result());
+  ResultCache cache(/*byte_budget=*/one);
+  cache.insert(1, sample_result());
+  const std::shared_ptr<const ConeResult> held = cache.lookup(1);
+  ASSERT_NE(held, nullptr);
+  const std::string before = splice(*held);
 
-  FactoringForest out;
-  FactId out_root = core::kNoFact;
-  DecomposeStats out_stats;
+  cache.insert(2, sample_result(1));  // the budget holds one entry
+  EXPECT_EQ(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 
-  // Truncations at every prefix length must be rejected, never crash.
-  for (std::size_t n = 0; n < good.size(); ++n) {
-    EXPECT_FALSE(
-        decode_fragment(good.substr(0, n), out, out_root, out_stats));
+  // The holder still owns the evicted result, unchanged, and it splices
+  // to the same bytes as a cold build of the same cone.
+  EXPECT_EQ(splice(*held), before);
+  EXPECT_EQ(splice(*sample_result()), before);
+  EXPECT_EQ(held->stats.functional_mux, 1u);
+}
+
+TEST(ResultCache, ConcurrentRequestsShareResultsByteIdentically) {
+  const net::Network input = gen::ripple_adder(12);
+  const auto run = [&input](const PipelineOptions& popts) {
+    net::Network net = input;
+    PassManager::from_script("bds", {{"jobs", "2"}}).run(net, popts);
+    return net::to_blif_string(net);
+  };
+  const std::string cold = run(PipelineOptions{});
+
+  // Two requests at -j 2 through one cache, several rounds each, so one
+  // thread's hits read results the other thread inserted.
+  PipelineOptions shared;
+  shared.result_cache = std::make_shared<ResultCache>();
+  std::vector<std::string> outputs(6);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 3; ++round) {
+        outputs[t * 3 + round] = run(shared);
+      }
+    });
   }
-  {  // trailing garbage
-    EXPECT_FALSE(decode_fragment(good + "x", out, out_root, out_stats));
-  }
-  {  // an out-of-range kind byte
-    std::string bad = good;
-    // nodes start after count(u32) + root(u32) + 8 stats u64s; the first
-    // byte of node 0 is its kind.
-    bad[4 + 4 + 64] = static_cast<char>(0x7f);
-    EXPECT_FALSE(decode_fragment(bad, out, out_root, out_stats));
-  }
-  {  // empty value
-    EXPECT_FALSE(decode_fragment(std::string(), out, out_root, out_stats));
-  }
-  // The outputs were never touched by the failed decodes.
-  EXPECT_EQ(out.size(), 2u);  // just the const slots
-  EXPECT_EQ(out_root, core::kNoFact);
+  for (std::thread& th : threads) th.join();
+  for (const std::string& out : outputs) EXPECT_EQ(out, cold);
+  EXPECT_GT(shared.result_cache->stats().hits, 0u);
 }
 
 TEST(ResultCache, LruEvictionRespectsTheByteBudget) {
-  ResultCache cache(/*byte_budget=*/100);
-  cache.insert(1, std::string(40, 'a'));
-  cache.insert(2, std::string(40, 'b'));
-  std::string v;
-  ASSERT_TRUE(cache.lookup(1, v));
-  EXPECT_EQ(v, std::string(40, 'a'));
+  const std::size_t one = ResultCache::charge(*sample_result());
+  ResultCache cache(/*byte_budget=*/2 * one + one / 2);
+  const std::shared_ptr<const ConeResult> a = sample_result(0);
+  cache.insert(1, a);
+  cache.insert(2, sample_result(1));
+  std::shared_ptr<const ConeResult> v = cache.lookup(1);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v, a);  // returned unchanged, not a copy
 
   // Key 2 is now least recently used; a third entry evicts it, not 1.
-  cache.insert(3, std::string(40, 'c'));
-  EXPECT_TRUE(cache.lookup(1, v));
-  EXPECT_FALSE(cache.lookup(2, v));
-  EXPECT_TRUE(cache.lookup(3, v));
+  cache.insert(3, sample_result(2));
+  EXPECT_NE(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.lookup(2), nullptr);
+  EXPECT_NE(cache.lookup(3), nullptr);
 
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.insertions, 3u);
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.bytes, 80u);
+  EXPECT_EQ(s.bytes, 2 * one);
   EXPECT_EQ(s.hits, 3u);
   EXPECT_EQ(s.misses, 1u);
 
-  // A value larger than the whole budget is not cached at all.
-  cache.insert(9, std::string(200, 'z'));
-  EXPECT_FALSE(cache.lookup(9, v));
-  EXPECT_LE(cache.stats().bytes, 100u);
+  // A result larger than the whole budget is not cached at all.
+  auto big = std::make_shared<ConeResult>();
+  for (bdd::Var x = 0; x < 64; ++x) big->root = big->forest.mk_var(x);
+  ASSERT_GT(ResultCache::charge(*big), 2 * one + one / 2);
+  cache.insert(9, big);
+  EXPECT_EQ(cache.lookup(9), nullptr);
+  EXPECT_LE(cache.stats().bytes, 2 * one + one / 2);
 }
 
 TEST(ManagerPool, RecycledManagerIsIndistinguishableFromFresh) {
