@@ -298,7 +298,8 @@ void Manager::gc() {
   // Sorting the candidates ascending reproduces the index-order seeding of
   // the old arena scan, so the reclamation order -- and with it the free
   // list and every subsequent allocation -- is byte-identical.
-  std::vector<std::uint32_t> dead;
+  std::vector<std::uint32_t>& dead = node_scratch_;
+  dead.clear();
   for (const Subtable& st : subtables_) {
     for (std::uint32_t head : st.buckets) {
       for (std::uint32_t i = head; i != kNil; i = nexts_[i]) {

@@ -313,6 +313,16 @@ class Manager {
   [[nodiscard]] std::size_t size(const std::vector<Edge>& roots) const;
   /// Set of variables the function depends on.
   [[nodiscard]] std::vector<Var> support(Edge e) const;
+  /// Numbers the internal nodes reachable from `e` 1, 2, ... in the order
+  /// the stamped post-order walk of transfer_to completes them (children
+  /// before parents; the terminal is 0) and calls
+  /// `fn(node, hi_number, lo_number)` as each one completes. Returns the
+  /// number of e's node. The numbering is a function of the DAG's shape
+  /// alone, not of where the arena placed its nodes, and no per-call
+  /// container is allocated. `fn` must not start another structural query
+  /// on this manager.
+  template <class Fn>
+  std::uint32_t number_post_order(Edge e, Fn&& fn) const;
   /// Number of satisfying assignments over `nvars` variables.
   [[nodiscard]] double sat_count(Edge e, std::uint32_t nvars) const;
   /// Evaluates the function under a full assignment (indexed by Var).
@@ -528,7 +538,46 @@ class Manager {
   mutable std::vector<double> scratch_mant_;       ///< sat_count densities
   mutable std::vector<std::int32_t> scratch_exp_;  ///< (mantissa, exponent)
   mutable std::vector<Edge> scratch_edge_;         ///< transfer_to memo
+  mutable std::vector<std::uint32_t> scratch_num_; ///< number_post_order ids
+  /// Node-index worklist of gc() and swap_levels() (never both at once).
+  std::vector<std::uint32_t> node_scratch_;
 };
+
+template <class Fn>
+std::uint32_t Manager::number_post_order(Edge e, Fn&& fn) const {
+  // Post-order DFS marker: the top bit of a stack entry tags "children
+  // done, number this node" (node indices occupy at most 31 bits).
+  constexpr std::uint32_t kComputeBit = 0x80000000u;
+  const std::uint32_t epoch = begin_visit();
+  scratch_num_.resize(vars_.size());
+  std::uint32_t* visits = visits_.data();
+  std::uint32_t* num = scratch_num_.data();
+  visits[0] = epoch;
+  num[0] = 0;
+  std::uint32_t next = 1;
+  const std::uint32_t root = e.node();
+  std::vector<std::uint32_t>& stack = visit_stack_;
+  stack.clear();
+  if (visits[root] != epoch) stack.push_back(root);
+  while (!stack.empty()) {
+    const std::uint32_t entry = stack.back();
+    stack.pop_back();
+    const std::uint32_t idx = entry & ~kComputeBit;
+    const std::uint32_t hi = thens_[idx].node();
+    const std::uint32_t lo = elses_[idx].node();
+    if ((entry & kComputeBit) != 0) {
+      num[idx] = next++;
+      fn(idx, num[hi], num[lo]);
+      continue;
+    }
+    if (visits[idx] == epoch) continue;  // discovered via another path
+    visits[idx] = epoch;
+    stack.push_back(idx | kComputeBit);
+    if (visits[hi] != epoch) stack.push_back(hi);
+    if (visits[lo] != epoch) stack.push_back(lo);
+  }
+  return num[root];
+}
 
 /// RAII handle to a BDD function: owns one external reference.
 ///

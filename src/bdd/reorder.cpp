@@ -33,7 +33,8 @@ void Manager::swap_levels(std::uint32_t level) {
   // Collect all nodes currently labelled x and empty its subtable; the
   // rewrite below re-creates x-nodes through mk(), which must not collide
   // with stale chains.
-  std::vector<std::uint32_t> xs;
+  std::vector<std::uint32_t>& xs = node_scratch_;
+  xs.clear();
   {
     Subtable& st = subtables_[x];
     for (std::uint32_t& head : st.buckets) {
@@ -50,18 +51,20 @@ void Manager::swap_levels(std::uint32_t level) {
 
   // Pass 1: nodes independent of y keep their structure; they simply end up
   // below y. Reinsert them first so mk() can find them during pass 2.
-  std::vector<std::uint32_t> moving;
+  // The dependent nodes are compacted to the front of `xs`, in order.
+  std::size_t moving = 0;
   for (const std::uint32_t i : xs) {
     if (top_var(thens_[i]) == y || top_var(elses_[i]) == y) {
-      moving.push_back(i);
+      xs[moving++] = i;
     } else {
       unique_insert(i);
     }
   }
+  xs.resize(moving);
 
   // Pass 2: rewrite each dependent node (x, F1, F0) into
   // (y, mk(x, F11, F01), mk(x, F10, F00)) in place.
-  for (const std::uint32_t i : moving) {
+  for (const std::uint32_t i : xs) {
     const Edge hi = thens_[i];  // regular by canonical form
     const Edge lo = elses_[i];
     Edge f11, f10, f01, f00;

@@ -171,6 +171,8 @@ void Manager::reset(std::size_t cache_entries) {
   shrink(scratch_mant_);
   shrink(scratch_exp_);
   shrink(scratch_edge_);
+  shrink(scratch_num_);
+  shrink(node_scratch_);
   // Re-seed the pinned terminal, exactly as the constructor does.
   vars_.push_back(kVarTerminal);
   thens_.push_back(Edge::one());

@@ -1,7 +1,6 @@
 #include "core/sharing.hpp"
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace bds::core {
@@ -166,7 +165,8 @@ SharingStats extract_sharing(FactoringForest& forest,
 }
 
 std::uint64_t canonical_function_hash(const bdd::Manager& mgr,
-                                      bdd::Edge root) {
+                                      bdd::Edge root,
+                                      std::span<const bdd::Var> relabel) {
   std::uint64_t h = 14695981039346656037ULL;
   const auto feed = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -174,42 +174,20 @@ std::uint64_t canonical_function_hash(const bdd::Manager& mgr,
       h *= 1099511628211ULL;
     }
   };
-  // Post-order DFS with compute markers (the manager's own traversal
-  // scheme: levels strictly increase along edges, so a node's children are
-  // always renumbered before its marker pops). Each node gets a dense id in
-  // completion order -- a function of the DAG's shape alone, not of where
-  // the manager happened to allocate it -- and feeds (var, hi, lo) with
-  // children expressed as dense-id literals.
-  constexpr std::uint32_t kComputeBit = 0x80000000u;
-  std::unordered_map<std::uint32_t, std::uint32_t> dense;
-  std::unordered_set<std::uint32_t> expanded;
-  dense.emplace(0u, 0u);  // the terminal is always dense id 0
-  std::vector<std::uint32_t> stack;
-  if (root.node() != 0) stack.push_back(root.node());
-  while (!stack.empty()) {
-    const std::uint32_t entry = stack.back();
-    stack.pop_back();
-    const std::uint32_t idx = entry & ~kComputeBit;
-    if ((entry & kComputeBit) != 0) {
-      const Edge hi = mgr.node_hi(idx);
-      const Edge lo = mgr.node_lo(idx);
-      dense.emplace(idx, static_cast<std::uint32_t>(dense.size()));
-      feed(mgr.node_var(idx));
-      feed((static_cast<std::uint64_t>(dense.at(hi.node())) << 1) |
-           static_cast<std::uint64_t>(hi.complemented()));
-      feed((static_cast<std::uint64_t>(dense.at(lo.node())) << 1) |
-           static_cast<std::uint64_t>(lo.complemented()));
-      continue;
-    }
-    if (!expanded.insert(idx).second) continue;
-    stack.push_back(idx | kComputeBit);
-    const std::uint32_t hi = mgr.node_hi(idx).node();
-    const std::uint32_t lo = mgr.node_lo(idx).node();
-    if (hi != 0 && expanded.find(hi) == expanded.end()) stack.push_back(hi);
-    if (lo != 0 && expanded.find(lo) == expanded.end()) stack.push_back(lo);
-  }
+  // Each node feeds (var, hi, lo) in the manager's post-order, with its
+  // children expressed as their post-order numbers plus phase: a function
+  // of the DAG's shape alone, not of where the manager allocated it.
+  const std::uint32_t root_number = mgr.number_post_order(
+      root, [&](std::uint32_t node, std::uint32_t hi, std::uint32_t lo) {
+        const bdd::Var v = mgr.node_var(node);
+        feed(relabel.empty() ? v : relabel[v]);
+        feed((static_cast<std::uint64_t>(hi) << 1) |
+             static_cast<std::uint64_t>(mgr.node_hi(node).complemented()));
+        feed((static_cast<std::uint64_t>(lo) << 1) |
+             static_cast<std::uint64_t>(mgr.node_lo(node).complemented()));
+      });
   // The root's phase distinguishes f from !f (same regular DAG).
-  feed((static_cast<std::uint64_t>(dense.at(root.node())) << 1) |
+  feed((static_cast<std::uint64_t>(root_number) << 1) |
        static_cast<std::uint64_t>(root.complemented()));
   return h;
 }

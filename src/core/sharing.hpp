@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -25,14 +26,22 @@ SharingStats extract_sharing(FactoringForest& forest,
                              std::vector<FactId>& roots, bdd::Manager& mgr);
 
 /// Content address of the function `root` computes: an FNV-1a-64 digest of
-/// the BDD's structure under a discovery-order dense renumbering, so the
-/// value is independent of the manager's node indices (which depend on
-/// allocation history) yet fully determined by the function and the
-/// variable numbering. Two managers holding the same function over the
-/// same Var ids -- the supernode managers of different requests, each
-/// freshly built over inputs 0..k-1 -- produce the same digest, which is
-/// what keys the optimization service's cross-request result cache.
-[[nodiscard]] std::uint64_t canonical_function_hash(const bdd::Manager& mgr,
-                                                    bdd::Edge root);
+/// the BDD's structure under the manager's post-order node numbering
+/// (Manager::number_post_order), so the value is independent of the
+/// manager's node indices (which depend on allocation history) yet fully
+/// determined by the function, the variable numbering and the variable
+/// order. Two managers holding the same function over the same Var ids in
+/// the same order produce the same digest. Allocates nothing.
+///
+/// A nonempty `relabel` (indexed by Var) renames each variable before it is
+/// hashed. bds_decompose relabels a supernode's partition variables to
+/// their input positions, so the digest equals that of the function's
+/// transfer into a compact manager over 0..k-1 whenever the positions
+/// follow the partition manager's level order. That digest keys both the
+/// run's cone memo and the cross-request result cache, before any manager
+/// is leased.
+[[nodiscard]] std::uint64_t canonical_function_hash(
+    const bdd::Manager& mgr, bdd::Edge root,
+    std::span<const bdd::Var> relabel = {});
 
 }  // namespace bds::core

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -237,6 +238,9 @@ class BdsPartitionPass final : public Pass {
 
 class BdsDecomposePass final : public Pass {
  public:
+  /// Largest accepted `-j`: the same ceiling as `bdsd -c`.
+  static constexpr std::size_t kMaxJobs = 1024;
+
   explicit BdsDecomposePass(const std::vector<std::string>& args) {
     validate_args(
         "bds_decompose", args, 0, {"-max_cuts", "-j"},
@@ -252,9 +256,18 @@ class BdsDecomposePass final : public Pass {
     opts_.max_cuts = parse_size_arg(
         "bds_decompose", flag_value("bds_decompose", args, "-max_cuts",
                                     std::to_string(opts_.max_cuts)));
-    jobs_ = static_cast<unsigned>(parse_size_arg(
+    const std::size_t jobs = parse_size_arg(
         "bds_decompose",
-        flag_value("bds_decompose", args, "-j", std::to_string(jobs_))));
+        flag_value("bds_decompose", args, "-j", std::to_string(jobs_)));
+    // Every worker count reaches ThreadPool::ensure_workers through here
+    // -- the `jobs` script parameter, raw scripts and daemon requests
+    // alike -- so this is where a runaway count is refused.
+    if (jobs > kMaxJobs) {
+      throw ScriptError("bds_decompose: -j " + std::to_string(jobs) +
+                        " exceeds the limit of " + std::to_string(kMaxJobs) +
+                        " workers");
+    }
+    jobs_ = static_cast<unsigned>(jobs);
   }
 
   std::string_view name() const override { return "bds_decompose"; }
@@ -287,24 +300,32 @@ class BdsDecomposePass final : public Pass {
 
   // The decompose phase is embarrassingly parallel at the supernode level:
   // every cone is rebuilt in its own compact manager and factored into its
-  // own private forest, so the per-cone work shares nothing. It runs as one
-  // staged for-each over the cones, then a serial merge:
+  // own private forest, so the per-cone work shares nothing. Most cones of
+  // an arithmetic circuit repeat an earlier cone's function, so each
+  // distinct function is decomposed once. It runs as one staged for-each
+  // over the cones, then a serial merge:
   //
   //   loop  -- `jobs` executor slots (a parallel_for over the persistent
   //            pool, PassContext::thread_pool -- never a pool constructed
   //            here). Each slot repeats: take the staging lock, claim the
-  //            next cone index, stage that cone (lease, variable-map
-  //            checks, transfer out of the partition manager, cache
-  //            lookup), unlock, then reorder and decompose the cone and end
-  //            its lease. Staging is serial and in index order because
-  //            transfer_to mutates the partition manager's visit stamps and
-  //            because index order keeps the cache's LRU lookups
-  //            deterministic; reorder + decompose of different cones
-  //            overlap freely. At most `jobs` leases are live at once.
-  //   merge -- serial, in cone index order, after the loop: cone results
-  //            are spliced into the flow forest and fresh ones published
-  //            to the cache, so the emitted network and the absorbed
-  //            telemetry are byte-identical to -j1 at every worker count.
+  //            next cone index and stage it, unlock, then reorder and
+  //            decompose the cone and end its lease. Staging checks the
+  //            cone's variable map, keys it in the partition manager
+  //            (canonical_function_hash over its input positions) and
+  //            decides its role. The first index with a key leads; a later
+  //            index with that key follows and is never leased, transferred
+  //            or decomposed. A leader tries the result cache next, and only
+  //            on a miss is leased a manager and transferred. Staging is
+  //            serial and in index order because the partition manager's
+  //            visit stamps are shared scratch and because index order
+  //            makes leadership and the cache's LRU lookups deterministic;
+  //            reorder + decompose of different cones overlap freely. At
+  //            most `jobs` leases are live at once.
+  //   merge -- serial, in cone index order, after the loop: each cone
+  //            splices its leader's result (its own when it leads) into the
+  //            flow forest, and fresh results are published to the cache,
+  //            so the emitted network and the absorbed telemetry are
+  //            byte-identical to -j1 at every worker count.
   //
   // The first error (budget cancellation, a stale-partition ScriptError,
   // bad_alloc) is stored under the staging lock; every slot then stops
@@ -323,6 +344,7 @@ class BdsDecomposePass final : public Pass {
     // has to die before the manager that owns its nodes. Managers are pool
     // leases, not fresh constructions -- recycled arenas skip the
     // allocation cost a long-lived daemon would otherwise pay per cone.
+    constexpr std::size_t kLeads = static_cast<std::size_t>(-1);
     struct Item {
       ManagerPool::Lease mgr;
       Bdd func;
@@ -331,14 +353,20 @@ class BdsDecomposePass final : public Pass {
       std::size_t peak_nodes = 0;
       std::size_t peak_bytes = 0;
       /// The cone's decomposition once it has one. Null after the loop
-      /// means the budget tripped on this cone: the merge rebuilds it from
-      /// its original SOP cone instead of the (abandoned) BDD decomposition.
+      /// means the budget tripped on this cone (or on its leader): the
+      /// merge rebuilds it from its original SOP cone instead.
       std::shared_ptr<const ConeResult> result;
+      /// decompose_cache_key of the cone's function, computed in the
+      /// partition manager; it names the cone in this run and in the cache.
+      std::uint64_t key = 0;
+      /// The earlier cone with the same key whose result this one shares,
+      /// or kLeads.
+      std::size_t leader = kLeads;
       /// Served from the content-addressed result cache: `result` is an
-      /// earlier request's decomposition of the same canonical function,
-      /// and the cone is never decomposed here.
+      /// earlier request's decomposition of the same canonical function.
       bool cached = false;
-      std::uint64_t cache_key = 0;
+      /// Reordered and decomposed by an executor slot in this run.
+      bool decomposed = false;
     };
 
     util::Telemetry* tel = ctx.telemetry();
@@ -346,6 +374,7 @@ class BdsDecomposePass final : public Pass {
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
     std::size_t cache_skipped = 0;
+    std::size_t cone_repeats = 0;
 
     // Executor slots are loop-local identities (one parallel_for index
     // each), so per-slot accounting is race-free even when the pool
@@ -357,6 +386,15 @@ class BdsDecomposePass final : public Pass {
     std::vector<Item> items(num_supernodes);
     std::vector<double> busy_seconds(slots, 0.0);
     std::vector<std::size_t> cones_run(slots, 0);
+
+    // Staging scratch, used under the staging lock only. `position` maps a
+    // partition variable to the staged cone's input position (kNoVar
+    // elsewhere: an input absent from the partition map must be diagnosed,
+    // not silently aliased onto variable 0); each cone resets the entries
+    // it set. `leader_of` maps a key to the first cone index that had it.
+    std::vector<Var> position(st.pmgr->num_vars(), core::kNoVar);
+    std::unordered_map<std::uint64_t, std::size_t> leader_of;
+    leader_of.reserve(num_supernodes);
 
     // One span covers the whole loop. Per-cone telemetry goes into one
     // private recorder per cone, absorbed in index order after the loop, so
@@ -374,11 +412,36 @@ class BdsDecomposePass final : public Pass {
       }
     }
 
-    // Stages cone `s` (caller holds the staging lock): leases its manager,
-    // transfers its function out of the partition manager and looks it up
-    // in the result cache. Returns true when the cone still needs reorder
-    // and decompose; false leaves it degraded (no result) or cached, lease
-    // already returned.
+    // Leases cone `s` a manager and transfers its function into it (the
+    // caller holds the staging lock and has filled `position`). Returns
+    // false, lease returned, when the transfer trips the budget.
+    const auto transfer = [&](std::size_t s) {
+      const core::Supernode& sn = st.part.supernodes[s];
+      Item& item = items[s];
+      // "BDD mapping": rebuild the supernode function in a compact manager
+      // containing only the used variables (Section IV-B), its computed
+      // table sized from the cone. The node/byte ceilings are per manager,
+      // and each private manager performs the same operation sequence at
+      // any -j, so budget trips -- and therefore degradations -- are
+      // deterministic across -j.
+      item.mgr = ManagerPool::global().acquire(
+          item.k, cone_cache_entries(sn.func.size()));
+      item.mgr->set_budget(ctx.budget());
+      try {
+        item.func = item.mgr->wrap(
+            st.pmgr->transfer_to(*item.mgr, sn.func.edge(), position));
+      } catch (const BudgetExceeded& e) {
+        if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+        item.func = Bdd();
+        item.mgr.release();
+        return false;
+      }
+      return true;
+    };
+
+    // Stages cone `s` (caller holds the staging lock). Returns true when
+    // the cone still needs reorder and decompose; false leaves it a
+    // follower, cached or degraded (no result), with no lease held.
     const auto stage = [&](std::size_t s) {
       const core::Supernode& sn = st.part.supernodes[s];
       Item& item = items[s];
@@ -389,19 +452,6 @@ class BdsDecomposePass final : public Pass {
         if (cache != nullptr) ++cache_skipped;
         return false;
       }
-      // "BDD mapping": rebuild the supernode function in a compact manager
-      // containing only the used variables (Section IV-B), its computed
-      // table sized from the cone. The node/byte ceilings are per manager,
-      // and each private manager performs the same operation sequence at
-      // any -j, so budget trips -- and therefore degradations -- are
-      // deterministic across -j.
-      item.mgr = ManagerPool::global().acquire(
-          item.k, cone_cache_entries(sn.func.size()));
-      item.mgr->set_budget(ctx.budget());
-      // kNoVar sentinel, not variable 0: an input absent from the
-      // partition map must be diagnosed, not silently aliased onto
-      // variable 0.
-      std::vector<Var> var_map(st.pmgr->num_vars(), core::kNoVar);
       for (std::uint32_t i = 0; i < item.k; ++i) {
         const net::NodeId input = sn.inputs[i];
         const Var pvar = input < st.part.var_of.size()
@@ -414,10 +464,10 @@ class BdsDecomposePass final : public Pass {
                             "' has no partition variable (stale "
                             "partition?)");
         }
-        var_map[pvar] = i;
+        position[pvar] = i;
       }
       for (const Var v : st.pmgr->support(sn.func.edge())) {
-        if (var_map[v] == core::kNoVar) {
+        if (position[v] == core::kNoVar) {
           throw ScriptError(
               "bds_decompose: supernode '" + net.node(sn.id).name +
               "' depends on a signal missing from its input list "
@@ -425,38 +475,27 @@ class BdsDecomposePass final : public Pass {
               std::to_string(v) + ")");
         }
       }
-      try {
-        item.func = item.mgr->wrap(
-            st.pmgr->transfer_to(*item.mgr, sn.func.edge(), var_map));
-      } catch (const BudgetExceeded& e) {
-        if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
-        item.func = Bdd();
-        item.mgr.release();
-        // This cone never reached cache lookup; without counting it
-        // skipped, hits + misses would undercount the supernode population
-        // and every derived hit rate would drift.
-        if (cache != nullptr) ++cache_skipped;
-        return false;
+      // The key, before any lease: the inputs are the support in variable
+      // order and the partition manager never reorders, so relabelling
+      // each variable to its position gives the DAG the transfer would
+      // build in a compact identity-ordered manager -- and its digest.
+      item.key = decompose_cache_key(
+          core::canonical_function_hash(*st.pmgr, sn.func.edge(), position),
+          opts_, reorder_, item.k);
+      const auto [it, leads] = leader_of.try_emplace(item.key, s);
+      if (!leads) {
+        item.leader = it->second;
+        ++cone_repeats;
+      } else if (cache != nullptr) {
+        item.result = cache->lookup(item.key);
+        item.cached = item.result != nullptr;
+        ++(item.cached ? cache_hits : cache_misses);
       }
-      // Content-addressed lookup: the freshly transferred function in a
-      // compact identity-ordered manager hashes the same for the same cone
-      // in any request, so a hit reuses an earlier decomposition of it --
-      // forest, root and stats.
-      if (cache != nullptr) {
-        item.cache_key = decompose_cache_key(
-            core::canonical_function_hash(*item.mgr, item.func.edge()),
-            opts_, reorder_, item.k);
-        item.result = cache->lookup(item.cache_key);
-        if (item.result != nullptr) {
-          item.cached = true;
-          ++cache_hits;
-          item.func = Bdd();
-          item.mgr.release();
-          return false;
-        }
-        ++cache_misses;
+      const bool needs_decompose = leads && !item.cached && transfer(s);
+      for (const net::NodeId input : sn.inputs) {
+        position[st.part.var_of[input]] = core::kNoVar;
       }
-      return true;
+      return needs_decompose;
     };
 
     // Reorders and decomposes a staged cone in its private manager,
@@ -501,14 +540,30 @@ class BdsDecomposePass final : public Pass {
         // degrades, leaving the cone without a result.
         if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
       }
+      item.decomposed = true;
       item.peak_nodes = mgr.stats().peak_live_nodes;
       item.peak_bytes = mgr.stats().peak_memory_bytes;
       item.func = Bdd();
       item.mgr.release();
     };
 
+    // The supernode span of cone `s`: its arity, its decomposition
+    // counters (a follower's are its leader's) and how it got its result.
+    const auto cone_counters = [&](util::TelemetrySpan& span, std::size_t s) {
+      const Item& item = items[s];
+      span.count("inputs", item.k);
+      attach_decompose_counters(span, item.result != nullptr
+                                          ? item.result->stats
+                                          : core::DecomposeStats());
+      if (item.result == nullptr) span.count("degraded", 1.0);
+      if (item.cached) span.count("cache_hit", 1.0);
+      if (item.leader != kLeads) span.count("repeat", 1.0);
+    };
+
     // The cursor and the first error (the stop flag: once set, no slot
-    // claims another cone) are guarded by the staging mutex.
+    // claims another cone) are guarded by the staging mutex. A slot stages
+    // cones until one needs decomposing; followers, cache hits and
+    // degraded cones never leave the lock.
     std::mutex stage_mu;
     std::size_t next = 0;
     std::exception_ptr first_error;
@@ -516,12 +571,12 @@ class BdsDecomposePass final : public Pass {
       for (;;) {
         try {
           std::size_t s = 0;
-          bool staged = false;
           {
             const std::lock_guard<std::mutex> lock(stage_mu);
-            if (first_error || next == num_supernodes) return;
-            s = next++;
-            staged = stage(s);
+            do {
+              if (first_error || next == num_supernodes) return;
+              s = next++;
+            } while (!stage(s));
           }
           Item& item = items[s];
           util::TelemetryRecorder* rec =
@@ -530,20 +585,13 @@ class BdsDecomposePass final : public Pass {
           if (rec != nullptr) {
             span = util::TelemetrySpan::open(
                 rec, "supernode[" + std::to_string(s) + "]");
-            span.count("inputs", item.k);
           }
           Timer timer;
-          if (staged) {
-            decompose(item, rec);
-            busy_seconds[slot] += timer.seconds();
-            ++cones_run[slot];
-          }
+          decompose(item, rec);
+          busy_seconds[slot] += timer.seconds();
+          ++cones_run[slot];
           if (span.active()) {
-            attach_decompose_counters(span, item.result != nullptr
-                                                ? item.result->stats
-                                                : core::DecomposeStats());
-            if (item.result == nullptr) span.count("degraded", 1.0);
-            if (item.cached) span.count("cache_hit", 1.0);
+            cone_counters(span, s);
             span.attr("executor", std::to_string(slot));
             span.count("busy_seconds", timer.seconds());
           }
@@ -556,6 +604,18 @@ class BdsDecomposePass final : public Pass {
     };
     pool.parallel_for(slots, drain);
     if (first_error) std::rethrow_exception(first_error);
+
+    // Every leader is done: followers take their leader's result, and the
+    // cones no slot decomposed get their supernode spans, in index order.
+    for (std::size_t s = 0; s < num_supernodes; ++s) {
+      Item& item = items[s];
+      if (item.leader != kLeads) item.result = items[item.leader].result;
+      if (!recorders.empty() && !item.decomposed) {
+        util::TelemetrySpan span = util::TelemetrySpan::open(
+            &recorders[s], "supernode[" + std::to_string(s) + "]");
+        cone_counters(span, s);
+      }
+    }
 
     // Deterministic merge of the per-cone telemetry, in index order, while
     // the parent stage:pipeline span is still open.
@@ -597,11 +657,11 @@ class BdsDecomposePass final : public Pass {
         st.decompose.generalized_or += r.stats.generalized_or;
         st.decompose.generalized_xnor += r.stats.generalized_xnor;
         st.decompose.shannon += r.stats.shannon;
-        // Publish fresh (non-degraded, non-cached) decompositions;
-        // inserting serially in index order keeps the cache's LRU state
-        // deterministic per request stream.
-        if (cache != nullptr && !item.cached) {
-          cache->insert(item.cache_key, item.result);
+        // Publish fresh decompositions (leaders only: a follower's result
+        // is its leader's); inserting serially in index order keeps the
+        // cache's LRU state deterministic per request stream.
+        if (cache != nullptr && item.decomposed) {
+          cache->insert(item.key, item.result);
         }
         std::vector<core::FactId> leaf_map(item.k);
         for (std::uint32_t i = 0; i < item.k; ++i) {
@@ -630,12 +690,14 @@ class BdsDecomposePass final : public Pass {
                                   st.decompose.generalized_or +
                                   st.decompose.generalized_xnor));
     ctx.count("shannon", static_cast<double>(st.decompose.shannon));
+    ctx.count("cone_repeats", static_cast<double>(cone_repeats));
     if (cache != nullptr) {
+      // Leaders only: a follower never reaches the cache. hits + misses +
+      // skipped + cone_repeats == supernodes, exactly: cones of a trivial
+      // partition never reach lookup and are counted skipped, not silently
+      // dropped from the denominator.
       ctx.count("cache_hits", static_cast<double>(cache_hits));
       ctx.count("cache_misses", static_cast<double>(cache_misses));
-      // hits + misses + skipped == supernodes, exactly: cones that degraded
-      // before lookup are counted skipped, not silently dropped from the
-      // denominator.
       ctx.count("cache_skipped", static_cast<double>(cache_skipped));
     }
     ctx.count("workers", static_cast<double>(slots));

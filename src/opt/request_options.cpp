@@ -1,23 +1,29 @@
 #include "opt/request_options.hpp"
 
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace bds::opt {
 namespace {
 
-std::uint64_t parse_u64(const std::string& flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-') {
-    throw ParseError(flag + ": expected a non-negative integer, got \"" +
-                     text + "\"");
+/// Plain decimal digits only (from_chars takes no blank or sign for an
+/// unsigned type; strtoull would read " -1" as 2^64-1), at most `max`.
+std::uint64_t parse_u64(const std::string& flag, const char* text,
+                        std::uint64_t max = UINT64_MAX) {
+  const char* const last = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text, last, v);
+  if (ec != std::errc{} || end != last || v > max) {
+    throw ParseError(flag + ": expected an integer in 0.." +
+                     std::to_string(max) + ", got \"" + text + "\"");
   }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 double parse_seconds(const std::string& flag, const char* text) {
@@ -47,7 +53,7 @@ bool RequestOptions::parse_cli_arg(int argc, char* const* argv, int& i) {
     script = flag_value(argc, argv, i);
   } else if (arg == "-j") {
     jobs = static_cast<std::uint32_t>(
-        parse_u64(arg, flag_value(argc, argv, i)));
+        parse_u64(arg, flag_value(argc, argv, i), UINT32_MAX));
   } else if (arg == "-node-limit") {
     node_limit = parse_u64(arg, flag_value(argc, argv, i));
   } else if (arg == "-byte-limit") {
@@ -77,7 +83,7 @@ bool RequestOptions::parse_cli_arg(int argc, char* const* argv, int& i) {
     }
   } else if (arg == "-lut") {
     lut_k = static_cast<std::uint32_t>(
-        parse_u64(arg, flag_value(argc, argv, i)));
+        parse_u64(arg, flag_value(argc, argv, i), UINT32_MAX));
   } else {
     return false;
   }

@@ -109,6 +109,9 @@ class Server {
   /// Aggregate daemon counters (also served over kServerStatsRequest).
   [[nodiscard]] ServerStats stats() const;
 
+  /// Executors of the daemon's worker pool (it only ever grows).
+  [[nodiscard]] unsigned workers() const { return pool_->workers(); }
+
   [[nodiscard]] const std::string& socket_path() const {
     return options_.socket_path;
   }

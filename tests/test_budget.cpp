@@ -5,6 +5,7 @@
 // parameter bindings that configure all of it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "gen/gen.hpp"
 #include "opt/bds_passes.hpp"
 #include "opt/manager.hpp"
+#include "opt/request_options.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 #include "verify/cec.hpp"
@@ -312,6 +314,47 @@ TEST(ScriptParams, MalformedValueIsRejected) {
                opt::ScriptError);
   EXPECT_THROW(opt::PassManager::from_script("bds", {{"jobs", "-3"}}),
                opt::ScriptError);
+}
+
+TEST(ScriptParams, WorkerCountAboveTheCeilingIsRejected) {
+  // Every worker count -- the `jobs` parameter, raw scripts, daemon
+  // requests -- is read by the bds_decompose -j parse, which refuses more
+  // than 1024 (bdsd -c's ceiling) before any thread exists. Building the
+  // pipeline is enough; none of these is run.
+  EXPECT_NO_THROW(opt::PassManager::from_script("bds_decompose -j 1024"));
+  EXPECT_THROW(opt::PassManager::from_script("bds_decompose -j 1025"),
+               opt::ScriptError);
+  EXPECT_THROW(opt::PassManager::from_script("bds_decompose -j 4294967295"),
+               opt::ScriptError);
+  EXPECT_THROW(opt::PassManager::from_script("bds", {{"jobs", "1025"}}),
+               opt::ScriptError);
+}
+
+/// Parses one `flag value` pair through the shared CLI surface.
+opt::RequestOptions parse_request_flag(std::string flag, std::string value) {
+  opt::RequestOptions ro;
+  char* argv[] = {flag.data(), value.data()};
+  int i = 0;
+  EXPECT_TRUE(ro.parse_cli_arg(2, argv, i));
+  return ro;
+}
+
+TEST(RequestOptions, CountsAreParsedStrictly) {
+  // Plain decimal digits only: no blank, no sign, no suffix, no overflow.
+  // " -1" used to read as 2^64-1 (and, truncated, as a 2^32-1 job count).
+  EXPECT_EQ(parse_request_flag("-j", "8").jobs, 8u);
+  EXPECT_EQ(parse_request_flag("-node-limit", "18446744073709551615")
+                .node_limit,
+            UINT64_MAX);
+  for (const char* bad : {" -1", "+5", "-1", "4294967296", "", "5 ", "0x10"}) {
+    EXPECT_THROW(parse_request_flag("-j", bad), ParseError) << '"' << bad << '"';
+  }
+  EXPECT_THROW(parse_request_flag("-node-limit", " -1"), ParseError);
+  EXPECT_THROW(parse_request_flag("-node-limit", "18446744073709551616"),
+               ParseError);
+  EXPECT_THROW(parse_request_flag("-deadline-ms", "+5"), ParseError);
+  // -lut is a 32-bit field: 2^32 + 2 must not wrap to a valid 2.
+  EXPECT_THROW(parse_request_flag("-lut", "4294967298"), ParseError);
 }
 
 }  // namespace

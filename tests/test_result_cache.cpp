@@ -83,59 +83,73 @@ TEST(DecomposeCacheKey, SensitiveToEveryOptionButNotJobs) {
   EXPECT_EQ(decompose_cache_key(42, base, true, 5), k0);
 }
 
+/// hits + misses + skipped + cone_repeats of one bds_decompose run: every
+/// supernode is counted exactly once.
+double accounted(const PipelineStats& ps) {
+  return ps.counter("cache_hits") + ps.counter("cache_misses") +
+         ps.counter("cache_skipped") + ps.counter("cone_repeats");
+}
+
 TEST(ResultCache, SkippedSupernodesKeepTheHitRateDenominatorExact) {
   // The accounting fix: a supernode that degrades before its cache lookup
-  // (budget trip during transfer) is counted as cache_skipped, so
-  // hits + misses + skipped always equals the supernode count -- the
-  // denominator never silently drifts.
+  // is counted as cache_skipped, so hits + misses + skipped + cone_repeats
+  // always equals the supernode count -- the denominator never silently
+  // drifts. The lookup comes before the lease, so the cones that degrade
+  // before it are those of a partition the budget reduced to one
+  // supernode per node; a cone whose transfer trips has been looked up
+  // and is a miss.
   double total_skipped = 0.0;
   for (net::Network& input :
        std::vector<net::Network>{gen::parity_tree(24), gen::alu(4)}) {
-    net::Network net = std::move(input);
-    PassContext ctx;
-    PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
-    const std::size_t supernodes =
-        ctx.state<BdsFlowState>().part.supernodes.size();
-    ASSERT_GT(supernodes, 0u);
-
     PipelineOptions popts;
-    popts.node_limit = 12;  // tight enough to trip inside big transfers
+    popts.node_limit = 12;  // trips the partition and big transfers alike
     popts.result_cache = std::make_shared<ResultCache>();
-    const PipelineStats ps =
-        PassManager::from_script("bds_decompose; bds_sharing; bds_emit")
-            .run(net, popts, ctx);
+    for (const bool budgeted_partition : {false, true}) {
+      net::Network net = input;
+      PassContext ctx;
+      PassManager::from_script("sweep; bds_partition")
+          .run(net, budgeted_partition ? popts : PipelineOptions{}, ctx);
+      const BdsFlowState& st = ctx.state<BdsFlowState>();
+      const std::size_t supernodes = st.part.supernodes.size();
+      ASSERT_GT(supernodes, 0u);
+      EXPECT_EQ(st.part.degraded, budgeted_partition) << input.name();
 
-    const double hits = ps.counter("cache_hits");
-    const double misses = ps.counter("cache_misses");
-    const double skipped = ps.counter("cache_skipped");
-    EXPECT_EQ(hits + misses + skipped, static_cast<double>(supernodes));
-    total_skipped += skipped;
+      const PipelineStats ps =
+          PassManager::from_script("bds_decompose; bds_sharing; bds_emit")
+              .run(net, popts, ctx);
+      EXPECT_EQ(accounted(ps), static_cast<double>(supernodes))
+          << input.name();
+      total_skipped += ps.counter("cache_skipped");
+    }
   }
   EXPECT_GT(total_skipped, 0.0)
-      << "node limit 12 degraded no transfer; the threshold no longer "
+      << "node limit 12 degraded no partition; the threshold no longer "
          "exercises the skip path";
 }
 
 TEST(ResultCache, WarmHitsPlusMissesStillCoverEverySupernode) {
+  // The cache counters count leaders only: a cone that repeats an earlier
+  // cone of the same run is a cone_repeat and never reaches the cache.
+  // So the warm round hits once per leader, not once per supernode.
   const net::Network input = gen::ripple_adder(10);
   PipelineOptions popts;
   popts.result_cache = std::make_shared<ResultCache>();
-  double supernodes = 0.0;
   for (int round = 0; round < 2; ++round) {
     net::Network net = input;
     PassContext ctx;
     PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
-    supernodes =
+    const double supernodes =
         static_cast<double>(ctx.state<BdsFlowState>().part.supernodes.size());
     const PipelineStats ps =
         PassManager::from_script("bds_decompose; bds_sharing; bds_emit")
             .run(net, popts, ctx);
-    EXPECT_EQ(ps.counter("cache_hits") + ps.counter("cache_misses") +
-                  ps.counter("cache_skipped"),
-              supernodes)
-        << "round " << round;
+    EXPECT_EQ(accounted(ps), supernodes) << "round " << round;
     EXPECT_EQ(ps.counter("cache_skipped"), 0.0) << "round " << round;
-    if (round == 1) EXPECT_EQ(ps.counter("cache_hits"), supernodes);
+    const double repeats = ps.counter("cone_repeats");
+    EXPECT_GT(repeats, 0.0) << "round " << round;
+    EXPECT_EQ(ps.counter(round == 0 ? "cache_misses" : "cache_hits"),
+              supernodes - repeats)
+        << "round " << round;
   }
 }
 

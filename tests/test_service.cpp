@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 
@@ -304,6 +305,32 @@ TEST(ServiceServer, BypassFlagLeavesTheCacheCold) {
 
   server.stop();
   serve_thread.join();
+}
+
+// A request's `jobs` reaches the daemon's worker pool only through the
+// bds_decompose -j parse, which refuses counts above 1024: a runaway count
+// is answered with a script error and the pool does not grow.
+TEST(ServiceServer, RunawayJobsCountIsRefused) {
+  ServerOptions options;
+  options.socket_path = unique_socket_path("jobs");
+  Server server(std::move(options));  // handle() needs no socket
+  const unsigned workers = server.workers();
+
+  for (const std::uint32_t jobs : {1025u, 0xffffffffu}) {
+    OptimizeRequest req;
+    req.blif = kBlif;
+    req.options.jobs = jobs;
+    const OptimizeResponse resp =
+        server.handle(decode_optimize_request(encode_optimize_request(req)));
+    EXPECT_EQ(resp.status, Status::kScriptError) << "jobs " << jobs;
+    EXPECT_FALSE(resp.error.empty()) << "jobs " << jobs;
+  }
+  EXPECT_EQ(server.workers(), workers);
+
+  OptimizeRequest ok;
+  ok.blif = kBlif;
+  ok.options.jobs = 2;
+  EXPECT_EQ(server.handle(ok).status, Status::kOk);
 }
 
 // Mapping options ride the request end to end: a daemon request with
