@@ -8,10 +8,8 @@
 // (never-tripping) ResourceBudget, plus a forced-degradation run whose
 // output is equivalence-checked. A `telemetry` section times the `bds`
 // pipeline with and without a full Telemetry hub. A `node_store` section
-// reports the SoA layout's sizeof-derived bytes/node, the unique-table
-// load factor of a representative build, and a timed serialize/
-// deserialize round-trip; every family's global forest is round-tripped
-// too and must come back lossless. A `service` section drives the bdsd
+// reports the SoA layout's sizeof-derived bytes/node and the unique-table
+// load factor of a representative build. A `service` section drives the bdsd
 // daemon's request path in-process (Server::handle(), no socket) over a
 // repeated family workload: the cold batch pays reorder+decompose, the
 // warm batch is served from the content-addressed result cache and must
@@ -66,7 +64,6 @@ namespace {
 
 using bds::Timer;
 using bds::bdd::Bdd;
-using bds::bdd::Edge;
 using bds::bdd::Manager;
 using bds::bdd::Var;
 using bds::net::Network;
@@ -436,56 +433,15 @@ TelemetryBenchResult run_telemetry_bench(int reps) {
 }
 
 // ---------------------------------------------------------------------------
-// Node-store section: the layout constants as the compiler sees them, the
-// unique-table density of a representative build, and a timed
-// serialize -> deserialize -> re-query round-trip.
+// Node-store section: the layout constants as the compiler sees them and
+// the unique-table density of a representative build.
 
 struct NodeStoreResult {
   std::string circuit;
   std::size_t unique_buckets = 0;
   std::size_t unique_entries = 0;
   double load_factor = 0.0;
-  std::size_t image_bytes = 0;
-  double serialize_seconds = 0.0;
-  double deserialize_seconds = 0.0;
-  bool roundtrip_lossless = false;
 };
-
-// Serialize `mgr` with `roots`, load the image into a fresh manager, and
-// re-run every structural query on both sides. Returns true iff the
-// round-trip is lossless (sizes, supports and sat counts all agree).
-bool verify_roundtrip(const Manager& mgr, const std::vector<Edge>& roots,
-                      NodeStoreResult* timing = nullptr) {
-  std::stringstream image;
-  Timer ts;
-  mgr.serialize(image, roots);
-  const double ser_s = ts.seconds();
-  Manager loaded;
-  Timer td;
-  const std::vector<Edge> loaded_roots = loaded.deserialize(image);
-  const double de_s = td.seconds();
-  if (timing != nullptr) {
-    timing->image_bytes = image.str().size();
-    timing->serialize_seconds = ser_s;
-    timing->deserialize_seconds = de_s;
-  }
-  if (loaded_roots.size() != roots.size()) return false;
-  if (loaded.num_vars() != mgr.num_vars()) return false;
-  if (!loaded.check_consistency()) return false;
-  const std::uint32_t nvars = mgr.num_vars();
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    // Indices survive the trip verbatim, so the roots must match as Lits,
-    // not merely as functions.
-    if (!(loaded_roots[i] == roots[i])) return false;
-    if (loaded.size(roots[i]) != mgr.size(roots[i])) return false;
-    if (loaded.support(roots[i]) != mgr.support(roots[i])) return false;
-    const double a = mgr.sat_count(roots[i], nvars);
-    const double b = loaded.sat_count(roots[i], nvars);
-    if (std::abs(a - b) > 1e-9 * std::max(std::abs(a), 1.0)) return false;
-  }
-  if (loaded.size(roots) != mgr.size(roots)) return false;
-  return true;
-}
 
 NodeStoreResult run_node_store_bench() {
   NodeStoreResult r;
@@ -499,10 +455,6 @@ NodeStoreResult run_node_store_bench() {
                       ? static_cast<double>(r.unique_entries) /
                             static_cast<double>(r.unique_buckets)
                       : 0.0;
-
-  std::vector<Edge> roots;
-  for (const Bdd& f : gb.outputs) roots.push_back(f.edge());
-  r.roundtrip_lossless = verify_roundtrip(*gb.mgr, roots, &r);
   return r;
 }
 
@@ -772,7 +724,7 @@ int main(int argc, char** argv) {
   json.field("pr", "pr10");
   json.field("hardware_concurrency", std::thread::hardware_concurrency());
 
-  // -- Node store: layout, table density, serialization ---------------------
+  // -- Node store: layout and table density ---------------------------------
   std::cout << "== node store ==\n";
   bool all_ok = true;
   const NodeStoreResult ns = run_node_store_bench();
@@ -782,10 +734,6 @@ int main(int argc, char** argv) {
             << "  " << ns.circuit << ": unique table " << ns.unique_entries
             << " entries / " << ns.unique_buckets << " buckets, load "
             << std::fixed << std::setprecision(2) << ns.load_factor << "\n";
-  std::cout << "  round-trip " << ns.image_bytes << " B image: serialize "
-            << std::fixed << std::setprecision(3) << ns.serialize_seconds
-            << "s  deserialize " << ns.deserialize_seconds << "s  "
-            << (ns.roundtrip_lossless ? "LOSSLESS" : "LOSSY!") << "\n";
   json.open("node_store");
   json.field("store_bytes_per_node", bds::bdd::kNodeStoreBytesPerNode);
   json.field("ref_bytes_per_node", bds::bdd::kNodeRefBytesPerNode);
@@ -795,17 +743,7 @@ int main(int argc, char** argv) {
   json.field("unique_table_buckets", ns.unique_buckets);
   json.field("unique_table_entries", ns.unique_entries);
   json.field("unique_table_load_factor", ns.load_factor);
-  json.open("serialization");
-  json.field("image_bytes", ns.image_bytes);
-  json.field("serialize_seconds", ns.serialize_seconds);
-  json.field("deserialize_seconds", ns.deserialize_seconds);
-  json.field("roundtrip_lossless", ns.roundtrip_lossless);
   json.close();
-  json.close();
-  if (!ns.roundtrip_lossless) {
-    std::cerr << "bench_suite: serialize round-trip was NOT lossless\n";
-    all_ok = false;
-  }
 
   // -- Serial vs parallel decompose -----------------------------------------
   std::cout << "== parallel decompose (adder forest) ==\n";
@@ -1120,21 +1058,8 @@ int main(int argc, char** argv) {
       emit_manager_stats(json, *gb.mgr);
     }
     json.close();
-    // Every family's global forest must survive the serialization
-    // round-trip losslessly (the acceptance bar for the image format).
-    bool lossless = false;
-    if (!gb.aborted) {
-      std::vector<Edge> roots;
-      for (const Bdd& f : gb.outputs) roots.push_back(f.edge());
-      lossless = verify_roundtrip(*gb.mgr, roots);
-    }
-    json.field("roundtrip_lossless", lossless);
     json.close();
-    if (gb.aborted || !lossless) all_ok = false;
-    if (!gb.aborted && !lossless) {
-      std::cerr << "bench_suite: " << fam.name
-                << " serialize round-trip was NOT lossless\n";
-    }
+    if (gb.aborted) all_ok = false;
   }
   json.close_list();
   json.close();

@@ -1,6 +1,6 @@
-// Manager core: struct-of-arrays node store, mask-based unique subtables,
-// reference counting, GC, structural queries, and inter-manager transfer
-// ("BDD mapping").
+// Manager core: struct-of-arrays node store, reset, mask-based unique
+// subtables, reference counting, GC, structural queries, and inter-manager
+// transfer ("BDD mapping").
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace bds::bdd {
 
@@ -70,7 +71,7 @@ util::CounterList telemetry_counters(const ManagerStats& stats,
 
 namespace {
 // Computed-table growth ceiling; the start size and subtable sizing
-// constants live in the class (serialize.cpp needs them too).
+// constants live in the class.
 constexpr std::size_t kCacheMaxEntries = 1u << 20;
 
 std::uint64_t cache_hash(std::uint64_t key_lo, std::uint64_t key_hi) {
@@ -115,6 +116,80 @@ Manager::Manager(std::uint32_t num_vars, std::size_t cache_entries)
 }
 
 Manager::~Manager() = default;
+
+void Manager::reset(std::size_t cache_entries) {
+  check_cache_entries("Manager::reset", cache_entries);
+  initial_cache_entries_ = cache_entries;
+  // A reset manager must be indistinguishable from a freshly constructed
+  // one -- including the capacity-derived memory_bytes gauge, because the
+  // ManagerPool hands reset managers to pipelines whose telemetry traces
+  // are guaranteed byte-identical across -j and across runs. The
+  // capacity-tracked buffers (the SoA columns, scratch, free list; see
+  // update_memory_stats) are therefore shrunk back to their pristine
+  // footprint, not just cleared.
+  const auto shrink = [](auto& v) {
+    v.clear();
+    v.shrink_to_fit();
+  };
+  // The columns get the constructor's exact reservation back; a column
+  // still at that capacity is reused in place.
+  const auto shrink_column = [](auto& v) {
+    if (v.capacity() != kArenaReserve) {
+      std::decay_t<decltype(v)> fresh;
+      fresh.reserve(kArenaReserve);
+      v.swap(fresh);
+    } else {
+      v.clear();
+    }
+  };
+  shrink_column(vars_);
+  shrink_column(thens_);
+  shrink_column(elses_);
+  shrink_column(nexts_);
+  shrink_column(refs_);
+  shrink(free_list_);
+  subtables_.clear();
+  subtable_bucket_bytes_ = 0;
+  var2level_.clear();
+  level2var_.clear();
+  // Same size AND capacity as a fresh manager: the adaptive-growth and GC
+  // state below is everything that feeds back into operation behavior, so
+  // matching a fresh manager's values makes the replay byte-identical.
+  // When the table is still at the starting size (the common case for
+  // pooled cone-sized managers), assign() reuses the existing allocation;
+  // a grown table, or one reset to a new starting size, is reallocated to
+  // exactly that size.
+  if (cache_.capacity() != initial_cache_entries_) {
+    std::vector<CacheEntry>(initial_cache_entries_).swap(cache_);
+  } else {
+    cache_.assign(initial_cache_entries_, CacheEntry{});
+  }
+  cache_lookups_at_resize_ = 0;
+  cache_hits_at_resize_ = 0;
+  gc_threshold_ = 1u << 14;
+  stats_ = ManagerStats{};
+  budget_ticks_ = 0;
+  visit_epoch_ = 0;
+  shrink(visits_);
+  shrink(visit_stack_);
+  shrink(var_visit_);
+  shrink(scratch_mant_);
+  shrink(scratch_exp_);
+  shrink(scratch_edge_);
+  shrink(scratch_num_);
+  shrink(node_scratch_);
+  // Re-seed the pinned terminal, exactly as the constructor does.
+  vars_.push_back(kVarTerminal);
+  thens_.push_back(Edge::one());
+  elses_.push_back(Edge::one());
+  nexts_.push_back(kNil);
+  refs_.push_back(1);
+  stats_.live_nodes = 1;
+  stats_.peak_live_nodes = 1;
+  stats_.allocated_nodes = 1;
+  stats_.cache_entries = cache_.size();
+  update_memory_stats();
+}
 
 Var Manager::new_var() {
   const Var v = static_cast<Var>(var2level_.size());

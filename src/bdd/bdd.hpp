@@ -30,10 +30,9 @@
 //    handle-level API entry points (never mid-recursion). Counts are
 //    16-bit and saturate (CUDD-style): a node with 65535+ parents is
 //    pinned for the manager's lifetime.
-//  * The whole store is trivially serializable: `serialize()` /
-//    `deserialize()` write and restore a manager byte-exactly (order,
-//    arena, free list, reference counts), and `reset()` returns a manager
-//    to its freshly-constructed state while keeping allocated capacity.
+//  * `reset()` returns a manager to its freshly-constructed state while
+//    keeping allocated capacity, so a recycled manager replays a build
+//    byte-identically to a fresh one.
 //
 // The decomposition engine needs read access to raw structure (levels,
 // children, complement bits), which `Manager` exposes through the
@@ -56,9 +55,9 @@ namespace bds::bdd {
 class Manager;
 class Bdd;
 
-/// Raw 32-bit literal: `(node_index << 1) | complement`. This is the wire
-/// format of an edge -- the element type the SoA store, the unique/computed
-/// tables and the serializer traffic in. `Edge` wraps one `Lit`.
+/// Raw 32-bit literal: `(node_index << 1) | complement` -- the element
+/// type the SoA store and the unique/computed tables traffic in. `Edge`
+/// wraps one `Lit`.
 using Lit = std::uint32_t;
 
 /// A directed edge in the BDD: target node index plus a complement bit,
@@ -91,7 +90,7 @@ class Edge {
   constexpr bool is_constant() const { return node() == 0; }
 
   constexpr Lit bits() const { return bits_; }
-  /// Rehydrates an Edge from its raw literal (serialization, tests).
+  /// Rehydrates an Edge from its raw literal.
   static constexpr Edge from_bits(Lit b) {
     Edge e;
     e.bits_ = b;
@@ -210,7 +209,7 @@ class Manager {
   Manager(const Manager&) = delete;
   Manager& operator=(const Manager&) = delete;
 
-  // ----- lifecycle: reset and serialization (bdd/serialize.cpp) -------------
+  // ----- lifecycle: reset ---------------------------------------------------
 
   /// Returns the manager to its freshly-constructed (0-variable) state --
   /// the manager-pool primitive: a reset manager replays an operation
@@ -231,22 +230,6 @@ class Manager {
   [[nodiscard]] std::size_t initial_cache_entries() const {
     return initial_cache_entries_;
   }
-
-  /// Writes the whole manager -- variable order, node arena (free slots
-  /// included, so every outstanding `Lit` keeps its meaning), reference
-  /// counts and the free list -- as a versioned, checksummed binary image.
-  /// `roots` is an optional set of edges stored alongside for the loader
-  /// to re-wrap. The computed table and statistics are not serialized.
-  void serialize(std::ostream& os, const std::vector<Edge>& roots = {}) const;
-
-  /// Restores a manager image written by serialize() into this manager,
-  /// which must be freshly constructed or reset() (aborts otherwise: a
-  /// populated manager has live handles the image would invalidate).
-  /// Returns the roots stored by the writer, un-wrapped: their reference
-  /// counts are already part of the image, so wrap each in a `Bdd` handle
-  /// (adding one count) or use them raw. Throws bds::SerializeError on a
-  /// malformed, truncated, version-mismatched or corrupted image.
-  std::vector<Edge> deserialize(std::istream& is);
 
   // ----- variables and order ------------------------------------------------
 
@@ -333,6 +316,10 @@ class Manager {
   [[nodiscard]] Var node_var(std::uint32_t node) const { return vars_[node]; }
   [[nodiscard]] Edge node_hi(std::uint32_t node) const { return thens_[node]; }
   [[nodiscard]] Edge node_lo(std::uint32_t node) const { return elses_[node]; }
+  /// Number of node slots ever allocated (live + free), terminal included.
+  [[nodiscard]] std::uint32_t arena_size() const {
+    return static_cast<std::uint32_t>(vars_.size());
+  }
   [[nodiscard]] bool is_terminal(std::uint32_t node) const {
     return node == 0;
   }
@@ -355,9 +342,9 @@ class Manager {
   /// The manager polls it at its safe points -- computed-table lookups,
   /// maybe_gc(), and between reordering sift steps -- and throws
   /// bds::BudgetExceeded when a ceiling is hit. Node/byte ceilings compare
-  /// against *this* manager's counters; the deadline and cancel flag are
-  /// global to the budget. Checks never fire inside a structural rewrite,
-  /// so the manager and all handles stay valid after the throw.
+  /// against *this* manager's counters; the deadline is global to the
+  /// budget. Checks never fire inside a structural rewrite, so the manager
+  /// and all handles stay valid after the throw.
   void set_budget(std::shared_ptr<const util::ResourceBudget> budget) {
     budget_ = std::move(budget);
     budget_ticks_ = 0;
@@ -440,10 +427,6 @@ class Manager {
   void grow_subtable(Subtable& st);
   static std::uint32_t hash_triple(Var v, Edge hi, Edge lo,
                                    std::uint32_t mask);
-  /// Number of node slots ever allocated (live + free), terminal included.
-  [[nodiscard]] std::uint32_t arena_size() const {
-    return static_cast<std::uint32_t>(vars_.size());
-  }
 
   Edge cache_lookup(CacheOp op, Edge f, Edge g, Edge h, bool& hit);
   void cache_store(CacheOp op, Edge f, Edge g, Edge h, Edge result);

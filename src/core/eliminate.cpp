@@ -128,9 +128,7 @@ PartitionResult partition_network(const net::Network& net, bdd::Manager& mgr,
       }
       mgr.gc();
     }
-  } catch (const BudgetExceeded& e) {
-    // Cancellation is a hard stop, not a request for a coarser answer.
-    if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+  } catch (const BudgetExceeded&) {
     // The budget tripped between eliminations (composes are tentative: the
     // committed func[] entries are all complete), so the partition below is
     // valid -- just coarser than the fixpoint. Reclaim the dropped

@@ -189,9 +189,7 @@ class BdsPartitionPass final : public Pass {
     st.pmgr->set_budget(ctx.budget());
     try {
       st.part = core::partition_network(net, *st.pmgr, opts_);
-    } catch (const BudgetExceeded& e) {
-      // Cancellation unwinds; only resource exhaustion degrades.
-      if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+    } catch (const BudgetExceeded&) {
       // Even building the initial local BDDs blew the budget (the
       // elimination loop itself degrades internally, setting
       // budget_stopped). Fall back to the trivial partition: one supernode
@@ -327,9 +325,9 @@ class BdsDecomposePass final : public Pass {
   //            so the emitted network and the absorbed telemetry are
   //            byte-identical to -j1 at every worker count.
   //
-  // The first error (budget cancellation, a stale-partition ScriptError,
-  // bad_alloc) is stored under the staging lock; every slot then stops
-  // claiming cones, and the pass rethrows it once the loop has returned.
+  // The first error (a stale-partition ScriptError, bad_alloc) is stored
+  // under the staging lock; every slot then stops claiming cones, and the
+  // pass rethrows it once the loop has returned.
   void run(net::Network& net, PassContext& ctx) override {
     BdsFlowState& st = ctx.state<BdsFlowState>();
     if (!st.pmgr) {
@@ -430,8 +428,7 @@ class BdsDecomposePass final : public Pass {
       try {
         item.func = item.mgr->wrap(
             st.pmgr->transfer_to(*item.mgr, sn.func.edge(), position));
-      } catch (const BudgetExceeded& e) {
-        if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+      } catch (const BudgetExceeded&) {
         item.func = Bdd();
         item.mgr.release();
         return false;
@@ -535,10 +532,8 @@ class BdsDecomposePass final : public Pass {
         if (epoch.active()) {
           attach_counters(epoch, bdd::telemetry_counters(mgr.stats(), &before));
         }
-      } catch (const BudgetExceeded& e) {
-        // Cancellation unwinds the whole pass; only resource exhaustion
-        // degrades, leaving the cone without a result.
-        if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+      } catch (const BudgetExceeded&) {
+        // The cone degrades: it is left without a result.
       }
       item.decomposed = true;
       item.peak_nodes = mgr.stats().peak_live_nodes;
@@ -751,8 +746,7 @@ class BdsSharingPass final : public Pass {
     smgr.set_budget(ctx.budget());
     try {
       st.sharing = core::extract_sharing(st.forest, st.roots, smgr);
-    } catch (const BudgetExceeded& e) {
-      if (e.resource() == BudgetExceeded::Resource::kCancelled) throw;
+    } catch (const BudgetExceeded&) {
       // Sharing extraction rewrites roots in place one at a time and each
       // completed rewrite is function-preserving, so stopping part-way is
       // safe: the already-merged trees stay merged, the rest stay as the

@@ -13,12 +13,8 @@
 // tells a version skew apart from corruption.
 //
 // Every multi-byte integer inside a payload is little-endian, so the
-// format is host-order independent (unlike the BDD manager image, which is
-// a same-host snapshot and guards its byte order with an endian tag
-// instead -- see bdd/serialize.cpp). Strings are u32 length + raw bytes.
-// A malformed or oversized frame raises bds::SerializeError, the same
-// typed error the BDD image decoder uses for external bytes that fail
-// validation.
+// format is host-order independent. Strings are u32 length + raw bytes.
+// A malformed or oversized frame raises bds::SerializeError.
 //
 // The exchange is strict request/response: a client sends kOptimizeRequest
 // or kServerStatsRequest and reads exactly one response frame. Connections
@@ -74,7 +70,7 @@ enum class Status : std::uint8_t {
   kScriptError = 3,  ///< malformed or unknown script
   kParseError = 4,   ///< malformed BLIF text
   kNetworkError = 5,  ///< structurally invalid network
-  kBudgetExceeded = 6,  ///< deadline/cancellation ended the run
+  kBudgetExceeded = 6,  ///< the deadline ended the run
   kInternalError = 7,   ///< anything else; `error` carries what()
   kOverloaded = 8,    ///< shed at admission; retry after `retry_after_ms`
   kShuttingDown = 9,  ///< daemon draining; find another daemon or retry

@@ -1,27 +1,26 @@
 // Resource governance: a shared, cooperative budget for BDD-heavy work.
 //
-// A `ResourceBudget` carries four independent ceilings -- live BDD nodes,
-// approximate resident bytes, a wall-clock deadline, and a cancellation
-// flag -- and is installed on any number of `bdd::Manager`s (and consulted
-// directly by long-running loops such as reordering or CEC). Managers check
-// it cheaply on their existing hot paths (computed-table lookups and
-// handle-level GC polls): the per-operation cost is one pointer test when no
-// budget is installed, and two integer compares plus one relaxed atomic load
-// when one is. The deadline needs a clock read, so it is amortized: the
-// clock is consulted once every `kDeadlineCheckInterval` checks.
+// A `ResourceBudget` carries three independent ceilings -- live BDD nodes,
+// approximate resident bytes and a wall-clock deadline -- and is installed
+// on any number of `bdd::Manager`s (and consulted directly by long-running
+// loops such as reordering or CEC). Managers check it cheaply on their
+// existing hot paths (computed-table lookups and handle-level GC polls):
+// the per-operation cost is one pointer test when no budget is installed,
+// and two integer compares when one is. The deadline needs a clock read, so
+// it is amortized: the clock is consulted once every
+// `kDeadlineCheckInterval` checks.
 //
 // Exceeding any ceiling throws `bds::BudgetExceeded` (util/error.hpp) from a
 // *safe point* -- never from inside a structural rewrite -- so every object
 // remains valid and the caller can degrade instead of dying.
 //
 // Threading: one budget is shared by many managers across threads. The
-// ceilings are plain fields written once before the run starts; the
-// deadline and the cancellation flag are atomics so a controller thread can
-// arm or trip them while workers run. Node/byte ceilings are *per manager*
-// (each manager compares its own counters), which keeps the node-limit
-// degradation decision deterministic: a private manager performs the same
-// operation sequence regardless of worker count, so it trips -- or not --
-// identically at every `-j`.
+// ceilings are plain fields fixed at construction; the deadline is an
+// atomic so a controller thread can arm it while workers run. Node/byte
+// ceilings are *per manager* (each manager compares its own counters),
+// which keeps the node-limit degradation decision deterministic: a private
+// manager performs the same operation sequence regardless of worker count,
+// so it trips -- or not -- identically at every `-j`.
 #pragma once
 
 #include <atomic>
@@ -48,14 +47,12 @@ class ResourceBudget {
   ResourceBudget(std::size_t node_limit, std::size_t byte_limit)
       : node_limit_(node_limit), byte_limit_(byte_limit) {}
 
-  // ---- ceilings (0 = unlimited; set before the run starts) -----------------
+  // ---- ceilings (0 = unlimited; fixed at construction) ---------------------
 
   /// Live-BDD-node ceiling per manager (0 = unlimited).
   std::size_t node_limit() const { return node_limit_; }
   /// Approximate resident-byte ceiling per manager (0 = unlimited).
   std::size_t byte_limit() const { return byte_limit_; }
-  void set_node_limit(std::size_t n) { node_limit_ = n; }
-  void set_byte_limit(std::size_t n) { byte_limit_ = n; }
 
   // ---- deadline (safe to arm while workers run) ----------------------------
 
@@ -69,8 +66,6 @@ class ResourceBudget {
     // steady clock that started in the past.
     deadline_ns_.store(ns == 0 ? 1 : ns, std::memory_order_relaxed);
   }
-  /// Disarms the deadline.
-  void clear_deadline() { deadline_ns_.store(0, std::memory_order_relaxed); }
   /// True while a deadline is armed (tripped or not).
   bool has_deadline() const {
     return deadline_ns_.load(std::memory_order_relaxed) != 0;
@@ -84,20 +79,11 @@ class ResourceBudget {
            d;
   }
 
-  // ---- cooperative cancellation --------------------------------------------
-
-  /// Asks every sharer to stop at its next safe point (thread-safe).
-  void request_cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  /// True once request_cancel has been called (non-throwing poll).
-  bool cancel_requested() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
   // ---- throwing checks ------------------------------------------------------
 
-  /// Cheap part of a safe-point check: node/byte ceilings and the cancel
-  /// flag. `ticks` is the caller's amortization counter; the deadline clock
-  /// is read only when it wraps kDeadlineCheckInterval.
+  /// Cheap part of a safe-point check: node/byte ceilings. `ticks` is the
+  /// caller's amortization counter; the deadline clock is read only when it
+  /// wraps kDeadlineCheckInterval.
   void check(std::size_t live_nodes, std::size_t bytes,
              std::uint32_t& ticks) const {
     if (node_limit_ != 0 && live_nodes > node_limit_) {
@@ -112,23 +98,15 @@ class ResourceBudget {
           "BDD memory budget exceeded: " + std::to_string(bytes) + " > " +
               std::to_string(byte_limit_) + " bytes");
     }
-    if (cancel_requested()) {
-      throw BudgetExceeded(BudgetExceeded::Resource::kCancelled,
-                           "operation cancelled");
-    }
     if (++ticks >= kDeadlineCheckInterval) {
       ticks = 0;
       check_deadline();
     }
   }
 
-  /// Unamortized deadline + cancellation check (one clock read). Used at
-  /// coarse safe points (between pipeline passes, between sift rounds).
+  /// Unamortized deadline check (one clock read). Used at coarse safe
+  /// points (between pipeline passes, between sift rounds).
   void check_deadline() const {
-    if (cancel_requested()) {
-      throw BudgetExceeded(BudgetExceeded::Resource::kCancelled,
-                           "operation cancelled");
-    }
     if (expired()) {
       throw BudgetExceeded(BudgetExceeded::Resource::kDeadline,
                            "wall-clock deadline exceeded");
@@ -139,7 +117,6 @@ class ResourceBudget {
   std::size_t node_limit_ = 0;
   std::size_t byte_limit_ = 0;
   std::atomic<std::int64_t> deadline_ns_{0};  ///< steady-clock ns; 0 = none
-  std::atomic<bool> cancelled_{false};
 };
 
 using BudgetPtr = std::shared_ptr<ResourceBudget>;

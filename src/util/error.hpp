@@ -8,11 +8,11 @@
 //   * ParseError      -- malformed external input (BLIF text, cube strings);
 //   * NetworkError    -- a structurally invalid network (duplicate signal
 //                        names, SOP width mismatch, combinational cycles);
-//   * SerializeError  -- a malformed or corrupted binary BDD-manager image
-//                        (bdd::Manager::deserialize);
+//   * SerializeError  -- a malformed, truncated or oversized bdsd wire
+//                        frame (service/protocol.hpp);
 //   * BudgetExceeded  -- a resource ceiling of a ResourceBudget
 //                        (util/budget.hpp) was hit: live BDD nodes, bytes,
-//                        the wall-clock deadline, or a cancellation request.
+//                        or the wall-clock deadline.
 //
 // Programming-contract violations (an empty Bdd handle, a non-permutation
 // order) are *not* errors in this sense: they abort via the
@@ -44,10 +44,9 @@ class NetworkError : public Error {
   using Error::Error;
 };
 
-/// A malformed, truncated, version-mismatched or checksum-corrupted binary
-/// manager image handed to bdd::Manager::deserialize. Like ParseError this
-/// is external input failing validation, not a programming error: the
-/// target manager is left in a valid (reset) state.
+/// A malformed, truncated, oversized or wrong-revision bdsd wire frame
+/// (service/protocol.hpp). Like ParseError this is external input failing
+/// validation, not a programming error.
 class SerializeError : public Error {
  public:
   using Error::Error;
@@ -55,14 +54,13 @@ class SerializeError : public Error {
 
 /// A ResourceBudget ceiling was exceeded. Carries which resource tripped so
 /// callers can degrade differently per kind (a node ceiling is deterministic
-/// and local; a deadline or cancellation is global and final).
+/// and local; a deadline is global and final).
 class BudgetExceeded : public Error {
  public:
   enum class Resource {
-    kNodes,      ///< live-BDD-node ceiling of one manager
-    kBytes,      ///< byte ceiling of one manager
-    kDeadline,   ///< the wall-clock deadline passed
-    kCancelled,  ///< cooperative cancellation was requested
+    kNodes,     ///< live-BDD-node ceiling of one manager
+    kBytes,     ///< byte ceiling of one manager
+    kDeadline,  ///< the wall-clock deadline passed
   };
 
   /// `what` should name the ceiling and the value that crossed it.
@@ -81,8 +79,6 @@ class BudgetExceeded : public Error {
         return "bytes";
       case Resource::kDeadline:
         return "deadline";
-      case Resource::kCancelled:
-        return "cancelled";
     }
     return "?";
   }

@@ -1,6 +1,7 @@
 // Unit and property tests for the ROBDD package: canonicity, the full
 // operator set checked against a truth-table oracle, reference counting,
-// garbage collection, restrict semantics, and inter-manager transfer.
+// garbage collection, restrict semantics, inter-manager transfer, and
+// reset.
 #include "bdd/bdd.hpp"
 
 #include <gtest/gtest.h>
@@ -635,6 +636,98 @@ TEST(Bdd, SatCountAgreesAcrossThePathBoundary) {
                      std::ldexp(1.0, static_cast<int>(nvars)));
     EXPECT_DOUBLE_EQ(mgr.zero().sat_count(nvars), 0.0);
   }
+}
+
+// ----- reset ------------------------------------------------------------------
+
+/// Structural snapshot of a manager: every arena slot (variable, children,
+/// reference count, free slots included), the variable order, the footprint
+/// gauge and the edge the next allocation gets. Allocates that probe node,
+/// so take it last.
+std::vector<std::uint64_t> snapshot(Manager& mgr) {
+  std::vector<std::uint64_t> out{mgr.arena_size()};
+  for (std::uint32_t i = 0; i < mgr.arena_size(); ++i) {
+    out.push_back(mgr.node_var(i));
+    out.push_back(mgr.node_hi(i).bits());
+    out.push_back(mgr.node_lo(i).bits());
+    out.push_back(mgr.ref_count(Edge(i, false)));
+  }
+  for (Var v = 0; v < mgr.num_vars(); ++v) out.push_back(mgr.level_of(v));
+  out.push_back(mgr.stats().memory_bytes);
+  // A fresh variable's node cannot exist yet, so it takes the next slot:
+  // the free list's top, or the end of the arena.
+  out.push_back(mgr.var(mgr.new_var()).edge().bits());
+  return out;
+}
+
+TEST(BddReset, ResetReplayIsByteIdentical) {
+  // The build drives both pieces of GC state that reset() must restore.
+  // Garbage is made of single dead nodes over live children, so maybe_gc()
+  // sees it as dead. Over few live nodes it collects at the initial
+  // threshold, which decides the slots of the result kept from that phase;
+  // over 2^14 live suffix cubes it collects and raises the threshold.
+  // Dropping half the cubes before a last collection leaves a free list.
+  const auto build_and_snapshot = [](Manager& mgr) {
+    mgr.ensure_vars(15);
+    // The cube over variables first..14 whose literals are the bits of m.
+    const auto cube = [&mgr](Var first, std::uint32_t m) {
+      Bdd f = mgr.one();
+      for (Var v = 15; v-- > first;) {
+        f = (((m >> (v - first)) & 1) != 0 ? mgr.var(v) : mgr.nvar(v)) & f;
+      }
+      return f;
+    };
+    // One new node per ite: x_top ? cubes[a] : cubes[b], dropped at once
+    // except for the last.
+    const auto churn = [&mgr](const std::vector<Bdd>& cubes, Var tops,
+                              std::size_t count) {
+      Bdd t;
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t a = i % cubes.size();
+        const std::size_t b = (i / cubes.size() + a + 1) % cubes.size();
+        t = mgr.var(static_cast<Var>(i % tops)).ite(cubes[a], cubes[b]);
+      }
+      return t;
+    };
+    std::vector<Bdd> small;
+    for (std::uint32_t m = 0; m < (1u << 7); ++m) small.push_back(cube(8, m));
+    const Bdd kept = churn(small, 8, 20000);
+    std::vector<Bdd> cubes;
+    for (std::uint32_t m = 0; m < (1u << 14); ++m) cubes.push_back(cube(1, m));
+    churn(cubes, 1, 40000);
+    for (std::size_t i = 0; i < cubes.size(); i += 2) cubes[i] = Bdd();
+    mgr.gc();
+    return snapshot(mgr);
+  };
+  Manager mgr;
+  const std::vector<std::uint64_t> first = build_and_snapshot(mgr);
+  EXPECT_GT(mgr.stats().gc_runs, 1u);
+  mgr.reset();
+  EXPECT_EQ(mgr.num_vars(), 0u);
+  EXPECT_EQ(mgr.live_nodes(), 1u);  // just the terminal
+  // Every buffer is back at the constructor's footprint before any replay.
+  ASSERT_EQ(mgr.stats().memory_bytes, Manager().stats().memory_bytes);
+  // A reset manager replays the build byte-identically to a fresh one --
+  // same indices, same free list, same order -- which is what makes a
+  // manager pool transparent.
+  EXPECT_EQ(build_and_snapshot(mgr), first);
+  Manager fresh;
+  EXPECT_EQ(build_and_snapshot(fresh), first);
+}
+
+TEST(BddReset, ResetClearsGraphButKeepsGovernance) {
+  Manager mgr(4);
+  const auto budget =
+      std::make_shared<util::ResourceBudget>(1u << 20, std::size_t{1} << 30);
+  mgr.set_budget(budget);
+  { const Bdd f = mgr.var(0) & mgr.var(1); }
+  mgr.reset();
+  EXPECT_TRUE(mgr.check_consistency());
+  EXPECT_EQ(mgr.budget(), budget);  // governance survives the reset
+  // The manager is immediately usable.
+  mgr.ensure_vars(2);
+  const Bdd f = mgr.var(0) | mgr.var(1);
+  EXPECT_EQ(f.size(), 3u);
 }
 
 }  // namespace
