@@ -2,15 +2,17 @@
 //
 //   bds-client -socket /tmp/bds.sock circuit.blif [-o out.blif]
 //              [-script TEXT] [-j N] [-node-limit N] [-byte-limit N]
-//              [-time-limit SECONDS] [-deadline-ms N] [-priority normal|high]
-//              [-check] [-no-cache] [-retries N] [-stats]
+//              [-time-limit SECONDS] [-check] [-no-cache] [-retries N]
+//              [-stats]
 //   bds-client -socket /tmp/bds.sock -server-stats
 //
 // The request knobs are the shared opt::RequestOptions flags (one parser
-// for this CLI, optimize_blif, and the wire protocol). When the daemon
-// sheds the request (kOverloaded) or is draining (kShuttingDown), the
-// client retries with jittered exponential backoff honoring the daemon's
-// retry_after_ms hint, up to -retries times (default 4; 0 = fail fast).
+// for this CLI, optimize_blif, and the wire protocol). `-time-limit` is
+// measured from the daemon's read of the request, so queue wait counts
+// against it. When the daemon sheds the request (kOverloaded) or is
+// draining (kShuttingDown), the client retries with jittered exponential
+// backoff honoring the daemon's retry_after_ms hint, up to -retries times
+// (default 4; 0 = fail fast).
 //
 // Exit codes mirror optimize_blif where the failure modes overlap:
 //   0 optimized (possibly degraded under a budget)

@@ -33,10 +33,11 @@
 // passes/supernodes by time, computed-table hit rates, degradations).
 //
 // `-node-limit N` and `-time-limit S` bound the run's BDD work (live nodes
-// per manager / wall-clock seconds). Exceeding a bound does not fail the
-// run: supernodes whose BDD work trips the budget fall back to algebraic
-// factoring of their original SOP (shown as `degraded` in -stats), and the
-// result stays functionally equivalent.
+// per manager / wall-clock seconds, measured from just before the pipeline
+// starts). Exceeding a bound does not fail the run: supernodes whose BDD
+// work trips the budget fall back to algebraic factoring of their original
+// SOP (shown as `degraded` in -stats), and the result stays functionally
+// equivalent.
 //
 // Exit codes: 0 success (possibly degraded), 1 verification/check/IO
 // failure, 2 usage or script error, 3 parse error, 4 network construction
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
   bool trace = false;
   bool profile = false;
   std::string trace_json_path;
-  // The shared request options (script, jobs, ceilings, deadline, check --
+  // The shared request options (script, jobs, ceilings, time limit, check --
   // the same struct bds-client and the bdsd wire protocol use; one parser,
   // declared once in opt/request_options.hpp).
   opt::RequestOptions ro;
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
   }
 
   opt::PipelineOptions popts;
-  // check, the resource ceilings, and the optional -deadline-ms (anchored
+  // check, the resource ceilings, and the optional -time-limit (anchored
   // at "now": a CLI run has no admission queue to wait in).
   ro.apply(popts);
   if (trace) {

@@ -60,8 +60,6 @@ util::CounterList telemetry_counters(const ManagerStats& stats,
   }
   gauge("cache_entries", stats.cache_entries);
   delta("cache_resizes", stats.cache_resizes, b.cache_resizes);
-  delta("cache_dead_evictions", stats.cache_dead_evictions,
-        b.cache_dead_evictions);
   delta("reorderings", stats.reorderings, b.reorderings);
   gauge("saturated_refs", stats.saturated_refs);
   gauge("memory_bytes", stats.memory_bytes);
@@ -400,9 +398,9 @@ void Manager::gc() {
     if (!hi.is_constant() && refs_[hi.node()] == 0) dead.push_back(hi.node());
     if (!lo.is_constant() && refs_[lo.node()] == 0) dead.push_back(lo.node());
   }
-  // Evict only the computed-table entries that reference reclaimed nodes;
-  // hot results over the surviving graph stay warm across collections.
-  if (freed > 0) cache_invalidate_dead();
+  // A freed slot may be reallocated to another function, so every
+  // computed-table entry could now name the wrong node: drop them all.
+  if (freed > 0) cache_clear();
   update_memory_stats();
 }
 
@@ -542,29 +540,6 @@ void Manager::cache_maybe_grow() {
   ++stats_.cache_resizes;
   stats_.cache_entries = cache_.size();
   update_memory_stats();
-}
-
-bool Manager::node_is_free(std::uint32_t idx) const {
-  // Free slots are stamped kVarTerminal by free_node(); node 0 is the
-  // pinned terminal. Indices past the arena cannot name a live node either
-  // (they come from Var-encoded cache keys, which this check may treat as
-  // node references -- a conservative eviction, never an unsafe keep).
-  return idx != 0 && (idx >= arena_size() || vars_[idx] == kVarTerminal);
-}
-
-void Manager::cache_invalidate_dead() {
-  for (CacheEntry& e : cache_) {
-    if (e.key_lo == ~0ULL && e.key_hi == ~0ULL) continue;
-    // Keys pack (op, f) and (g, h); each Lit holds the node index << 1.
-    const auto f = static_cast<std::uint32_t>(e.key_lo) >> 1;
-    const auto g = static_cast<std::uint32_t>(e.key_hi >> 32) >> 1;
-    const auto h = static_cast<std::uint32_t>(e.key_hi) >> 1;
-    if (node_is_free(f) || node_is_free(g) || node_is_free(h) ||
-        node_is_free(e.result.node())) {
-      e = CacheEntry{};
-      ++stats_.cache_dead_evictions;
-    }
-  }
 }
 
 // ----- structural queries ------------------------------------------------------

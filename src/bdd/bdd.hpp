@@ -22,8 +22,8 @@
 //    `Lit` pairs. It is 2-way set-associative with LRU-of-2 replacement
 //    (two hot operations that collide on one set no longer evict each
 //    other every apply), sized adaptively (doubling while the lookup
-//    stream runs hot, as CUDD does), and survives garbage collection:
-//    gc() drops only the entries that reference reclaimed nodes.
+//    stream runs hot, as CUDD does), and cleared by any gc() that frees a
+//    node.
 //  * Reference counting with deferred reclamation: external references are
 //    held through the RAII `Bdd` handle; dead nodes are reclaimed by
 //    explicit or threshold-triggered garbage collection, which only runs at
@@ -155,9 +155,6 @@ struct ManagerStats {
   std::array<std::size_t, kNumCacheOps> cache_op_hits{};
   std::size_t cache_entries = 0;   ///< Current computed-table capacity.
   std::size_t cache_resizes = 0;   ///< Adaptive growth events.
-  /// Entries dropped by gc() because they referenced reclaimed nodes
-  /// (the rest of the table survives collection).
-  std::size_t cache_dead_evictions = 0;
   std::size_t reorderings = 0;
   /// Nodes whose 16-bit reference count has saturated (kRefSaturated):
   /// they are pinned for the manager's lifetime -- gc() can never reclaim
@@ -172,9 +169,8 @@ struct ManagerStats {
 /// Flattens a ManagerStats snapshot into telemetry counters under the
 /// canonical names MANUAL.md's glossary documents (live_nodes,
 /// peak_live_nodes, gc_runs, unique_lookups, cache_lookups, cache_hits,
-/// cache_<op>_lookups/hits per kCacheOpNames, cache_entries/resizes/
-/// dead_evictions, reorderings, saturated_refs, memory_bytes,
-/// peak_memory_bytes). To
+/// cache_<op>_lookups/hits per kCacheOpNames, cache_entries/resizes,
+/// reorderings, saturated_refs, memory_bytes, peak_memory_bytes). To
 /// attribute one phase of work, diff two snapshots with
 /// `telemetry_counters(after, &before)`: monotonic counters subtract,
 /// level/high-watermark gauges report the `after` value.
@@ -331,7 +327,7 @@ class Manager {
   [[nodiscard]] std::uint32_t ref_count(Edge e) const {
     return refs_[e.node()];
   }
-  /// Reclaims all dead nodes. Invalidates the computed table.
+  /// Reclaims all dead nodes; clears the computed table if any were freed.
   void gc();
   /// Runs gc() if the arena grew past the auto-GC threshold.
   void maybe_gc();
@@ -441,10 +437,6 @@ class Manager {
   /// Doubles the computed table when the recent lookup window ran hot
   /// (CUDD-style adaptive sizing); existing entries are rehashed, not lost.
   void cache_maybe_grow();
-  /// Drops only the entries whose operands or result reference a reclaimed
-  /// node; called by gc() instead of cache_clear().
-  void cache_invalidate_dead();
-  bool node_is_free(std::uint32_t idx) const;
 
   /// Budget safe-point poll: one pointer test when no budget is installed.
   /// Called from cache_lookup() (once per nonterminal apply step) and

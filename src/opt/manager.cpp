@@ -1,6 +1,5 @@
 #include "opt/manager.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
@@ -127,20 +126,11 @@ PipelineStats PassManager::run(net::Network& net,
   // from explicit ceilings or the BDS_NODE_LIMIT environment variable (the
   // CI safety net), in that order.
   util::BudgetPtr budget = options.budget;
-  double time_limit = options.time_limit_seconds;
-  // An absolute deadline (default-constructed time_point = none) becomes a
+  // The deadline (default-constructed time_point = none) becomes a
   // relative remaining-seconds figure here; a deadline already in the past
   // yields remaining <= 0, which arms a budget that trips at its first
   // check -- the "reject expired work before building a node" contract.
   const bool deadline_armed = options.deadline.time_since_epoch().count() != 0;
-  if (deadline_armed) {
-    const double remaining =
-        std::chrono::duration<double>(options.deadline -
-                                      std::chrono::steady_clock::now())
-            .count();
-    time_limit = time_limit > 0.0 ? std::min(time_limit, remaining)
-                                  : remaining;
-  }
   if (!budget) {
     std::size_t node_limit = options.node_limit;
     if (node_limit == 0) {
@@ -149,14 +139,15 @@ PipelineStats PassManager::run(net::Network& net,
       }
     }
     const std::size_t byte_limit = options.byte_limit;
-    if (node_limit != 0 || byte_limit != 0 || time_limit > 0.0 ||
-        deadline_armed) {
+    if (node_limit != 0 || byte_limit != 0 || deadline_armed) {
       budget = std::make_shared<util::ResourceBudget>(node_limit, byte_limit);
     }
   }
-  if (budget && (time_limit > 0.0 || deadline_armed) &&
-      !budget->has_deadline()) {
-    budget->set_deadline_in(time_limit);
+  if (budget && deadline_armed && !budget->has_deadline()) {
+    budget->set_deadline_in(std::chrono::duration<double>(
+                                options.deadline -
+                                std::chrono::steady_clock::now())
+                                .count());
   }
   ctx.set_budget(budget);
   ctx.set_result_cache(options.result_cache);

@@ -30,14 +30,12 @@ struct PipelineOptions {
   util::BudgetPtr budget;
   std::size_t node_limit = 0;
   std::size_t byte_limit = 0;
-  double time_limit_seconds = 0.0;  ///< arms the budget deadline when > 0
-  /// Absolute wall-clock deadline of the run (default-constructed = none).
-  /// Unlike time_limit_seconds, which measures from the moment run()
-  /// assembles the budget, this point is fixed by the caller -- the bdsd
-  /// admission layer sets it to `arrival + deadline_ms`, so time a request
-  /// spent queued counts against it. When both are set the earlier one
-  /// wins; a deadline already in the past trips the budget at its first
-  /// check, before any BDD node is built.
+  /// Absolute wall-clock deadline of the run (default-constructed = none),
+  /// fixed by the caller: RequestOptions::apply() sets it to `arrival +
+  /// time_limit_ms`, where bdsd's arrival is the request's socket read, so
+  /// time a request spent queued counts against it. A deadline already in
+  /// the past trips the budget at its first check, before any BDD node is
+  /// built.
   std::chrono::steady_clock::time_point deadline{};
   /// Called after each pass completes with its final measurements.
   std::function<void(const PassStats&)> trace;

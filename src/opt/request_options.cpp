@@ -26,15 +26,22 @@ std::uint64_t parse_u64(const std::string& flag, const char* text,
   return v;
 }
 
-double parse_seconds(const std::string& flag, const char* text) {
+/// A duration in seconds, returned in whole milliseconds; a positive
+/// duration under 1 ms becomes 1 ms, since 0 means "no limit". NaN and
+/// values past kMaxTimeLimitMs are refused before the conversion could
+/// overflow.
+std::uint64_t parse_seconds_as_ms(const std::string& flag, const char* text) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0.0) {
-    throw ParseError(flag + ": expected a non-negative duration in seconds, "
-                     "got \"" + text + "\"");
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !(v >= 0.0 && v * 1000.0 <= static_cast<double>(kMaxTimeLimitMs))) {
+    throw ParseError(flag + ": expected a duration in seconds, 0.." +
+                     std::to_string(kMaxTimeLimitMs / 1000) + ", got \"" +
+                     text + "\"");
   }
-  return v;
+  const auto ms = static_cast<std::uint64_t>(v * 1000.0);
+  return ms == 0 && v > 0.0 ? 1 : ms;
 }
 
 /// The value of flag argv[i], advancing i past it.
@@ -59,19 +66,7 @@ bool RequestOptions::parse_cli_arg(int argc, char* const* argv, int& i) {
   } else if (arg == "-byte-limit") {
     byte_limit = parse_u64(arg, flag_value(argc, argv, i));
   } else if (arg == "-time-limit") {
-    time_limit_ms = static_cast<std::uint64_t>(
-        parse_seconds(arg, flag_value(argc, argv, i)) * 1000.0);
-  } else if (arg == "-deadline-ms") {
-    deadline_ms = parse_u64(arg, flag_value(argc, argv, i));
-  } else if (arg == "-priority") {
-    const std::string v = flag_value(argc, argv, i);
-    if (v == "normal" || v == "0") {
-      priority = kPriorityNormal;
-    } else if (v == "high" || v == "1") {
-      priority = kPriorityHigh;
-    } else {
-      throw ParseError("-priority: expected normal|high, got \"" + v + "\"");
-    }
+    time_limit_ms = parse_seconds_as_ms(arg, flag_value(argc, argv, i));
   } else if (arg == "-check") {
     check = true;
   } else if (arg == "-no-cache") {
@@ -91,9 +86,10 @@ bool RequestOptions::parse_cli_arg(int argc, char* const* argv, int& i) {
 }
 
 void RequestOptions::validate() const {
-  if (priority > kPriorityHigh) {
-    throw ParseError("request options: priority " + std::to_string(priority) +
-                     " out of range (0 = normal, 1 = high)");
+  if (time_limit_ms > kMaxTimeLimitMs) {
+    throw ParseError("request options: time_limit_ms " +
+                     std::to_string(time_limit_ms) + " out of range (0.." +
+                     std::to_string(kMaxTimeLimitMs) + ")");
   }
   if (lut_k != 0 && (lut_k < 2 || lut_k > 6)) {
     throw ParseError("request options: lut_k " + std::to_string(lut_k) +
@@ -106,10 +102,7 @@ const char* RequestOptions::cli_help() {
          "  -j N              intra-request workers (0 = flow default)\n"
          "  -node-limit N     live-BDD-node ceiling (0 = unlimited)\n"
          "  -byte-limit N     BDD byte ceiling (0 = unlimited)\n"
-         "  -time-limit SECS  wall-clock compute budget (0 = none)\n"
-         "  -deadline-ms N    total latency budget incl. queue wait (0 = "
-         "none)\n"
-         "  -priority P       admission priority: normal|high\n"
+         "  -time-limit SECS  wall-clock budget incl. queue wait (0 = none)\n"
          "  -check            per-pass equivalence checkpoints\n"
          "  -no-cache         bypass the daemon's result cache\n"
          "  -map LIB          map onto a genlib file, or \"mcnc\" for the "
@@ -132,9 +125,8 @@ void RequestOptions::apply(PipelineOptions& popts,
   popts.check = check;
   popts.node_limit = node_limit;
   popts.byte_limit = byte_limit;
-  popts.time_limit_seconds = static_cast<double>(time_limit_ms) / 1000.0;
-  if (deadline_ms != 0) {
-    popts.deadline = arrival + std::chrono::milliseconds(deadline_ms);
+  if (time_limit_ms != 0) {
+    popts.deadline = arrival + std::chrono::milliseconds(time_limit_ms);
   }
 }
 

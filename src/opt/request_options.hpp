@@ -7,9 +7,8 @@
 // spelling and units. `RequestOptions` collapses them: the struct is the
 // wire payload of an optimize request (service/protocol.cpp serializes it
 // field by field), `parse_cli_arg()` is the flag parser both CLIs call,
-// and `apply()` is the single translation into PipelineOptions. New
-// request fields -- `deadline_ms` and `priority` arrived with protocol
-// revision 2 -- are declared exactly once, here.
+// and `apply()` is the single translation into PipelineOptions. A new
+// request field is declared exactly once, here.
 #pragma once
 
 #include <cstdint>
@@ -19,28 +18,24 @@
 
 namespace bds::opt {
 
-/// Admission priorities of a service request. High-priority requests may
-/// use the slice of the daemon's pending queue that is held in reserve
-/// when normal traffic has already filled the rest (service/admission.hpp).
-inline constexpr std::uint8_t kPriorityNormal = 0;
-inline constexpr std::uint8_t kPriorityHigh = 1;
+/// Ceiling on RequestOptions::time_limit_ms (365 days): `arrival + limit`
+/// must stay representable on the steady clock.
+inline constexpr std::uint64_t kMaxTimeLimitMs = 365ull * 24 * 3600 * 1000;
 
 /// Per-request options shared by the optimize_blif CLI, the bds-client
 /// CLI, and the bdsd wire protocol. Zero always means "unset": unlimited
-/// for the resource ceilings, "no deadline" for deadline_ms, "the flow's
-/// default" for jobs.
+/// for the resource ceilings, "no time limit" for time_limit_ms, "the
+/// flow's default" for jobs.
 struct RequestOptions {
   std::string script;            ///< script text or name; "" = flow default
   std::uint32_t jobs = 0;        ///< intra-request workers; 0 = flow default
   std::uint64_t node_limit = 0;  ///< live-BDD-node ceiling (0 = unlimited)
   std::uint64_t byte_limit = 0;  ///< BDD byte ceiling (0 = unlimited)
-  std::uint64_t time_limit_ms = 0;  ///< wall-clock budget (0 = none)
-  /// Total latency budget of the request, measured from its arrival at the
-  /// server: queue wait counts against it, and a request whose deadline has
-  /// already passed when an executor picks it up is rejected before a
-  /// single BDD node is built. 0 = no deadline.
-  std::uint64_t deadline_ms = 0;
-  std::uint8_t priority = kPriorityNormal;  ///< kPriorityNormal|kPriorityHigh
+  /// Wall-clock budget of the request, measured from its arrival (see
+  /// apply()): in bdsd queue wait counts against it, and a request whose
+  /// limit has already passed when its turn comes is rejected before a
+  /// single BDD node is built. 0 = no limit.
+  std::uint64_t time_limit_ms = 0;
   bool check = false;         ///< per-pass equivalence checkpoints
   bool bypass_cache = false;  ///< skip the daemon's ResultCache
   /// Gate library to technology-map the optimized network onto: a genlib
@@ -55,14 +50,13 @@ struct RequestOptions {
 
   /// Consumes argv[i] (and its value, if any) when it is one of the shared
   /// request flags: -script, -j, -node-limit, -byte-limit, -time-limit
-  /// (seconds, stored as ms), -deadline-ms, -priority, -check, -no-cache,
-  /// -map, -lut. Returns false when argv[i] is not a shared flag (the
+  /// (seconds, stored as ms), -check, -no-cache, -map, -lut. Returns false when argv[i] is not a shared flag (the
   /// caller's own flags come next); throws bds::ParseError on a flag with
   /// a missing or malformed value.
   bool parse_cli_arg(int argc, char* const* argv, int& i);
 
   /// Range-checks the fields a CLI or a wire peer could have set out of
-  /// bounds (today: priority, lut_k). Throws bds::ParseError naming the
+  /// bounds (today: time_limit_ms, lut_k). Throws bds::ParseError naming the
   /// field.
   void validate() const;
 
@@ -77,8 +71,8 @@ struct RequestOptions {
   [[nodiscard]] ScriptParams to_script_params() const;
 
   /// Translates into pipeline terms: check, the budget ceilings, and --
-  /// when deadline_ms is set -- an absolute PipelineOptions::deadline of
-  /// `arrival + deadline_ms`. `arrival` is when the request entered the
+  /// when time_limit_ms is set -- an absolute PipelineOptions::deadline of
+  /// `arrival + time_limit_ms`. `arrival` is when the request entered the
   /// system (its socket read time in the daemon; "now" in a CLI).
   void apply(PipelineOptions& popts,
              std::chrono::steady_clock::time_point arrival =

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "opt/request_options.hpp"
-
 namespace bds::service {
 namespace {
 
@@ -124,26 +122,17 @@ AdmissionQueue::AdmissionQueue(AdmissionOptions options)
         if (options.queue_depth < 1) options.queue_depth = 1;
         if (options.concurrency < 1) options.concurrency = 1;
         return options;
-      }()),
-      // A quarter of the line is the high-priority reserve; depth 1 has
-      // no room to reserve without starving normal traffic entirely.
-      reserve_(options_.queue_depth > 1
-                   ? std::max<std::size_t>(1, options_.queue_depth / 4)
-                   : 0) {}
+      }()) {}
 
-AdmitResult AdmissionQueue::offer(std::size_t bytes, std::uint8_t priority,
-                                  Ticket& ticket) {
+AdmitResult AdmissionQueue::offer(std::size_t bytes, Ticket& ticket) {
   ticket.release();
   const std::lock_guard<std::mutex> lock(mu_);
   if (draining() || closed_) return AdmitResult::kShuttingDown;
-  const std::size_t limit = priority >= opt::kPriorityHigh
-                                ? options_.queue_depth
-                                : options_.queue_depth - reserve_;
   // Byte bound: one oversized BLIF backlog cannot hide behind a shallow
   // count. Charged now, released when the ticket starts running.
   const bool over_bytes = options_.queue_bytes != 0 &&
                           bytes > options_.queue_bytes - waiting_bytes_;
-  if (line_.size() >= limit || over_bytes) {
+  if (line_.size() >= options_.queue_depth || over_bytes) {
     ++sheds_;
     return AdmitResult::kOverloaded;
   }

@@ -22,10 +22,8 @@
 // only the head of the line is woken when a slot frees up.
 //
 // Policy details:
-//   * A slice of the line (depth/4, at least one slot when depth > 1) is
-//     reserved for kPriorityHigh requests, so operator traffic (health
-//     probes, urgent jobs) still gets in when normal traffic has filled
-//     the rest.
+//   * One lane: every request meets the same `queue_depth` and
+//     `queue_bytes` ceilings, in arrival order.
 //   * The retry hint is the service-time EWMA times the backlog per
 //     running slot -- an estimate of when a slot frees up, not a promise.
 //   * Drain (SIGTERM): begin_drain() flips one atomic flag (safe from a
@@ -116,10 +114,9 @@ class AdmissionQueue {
 
   /// Admission decision for one request of `bytes` payload bytes; never
   /// blocks. On kAdmitted `ticket` holds the request's place in line.
-  AdmitResult offer(std::size_t bytes, std::uint8_t priority,
-                    Ticket& ticket);
+  AdmitResult offer(std::size_t bytes, Ticket& ticket);
 
-  /// An admitted request rejected because its deadline expired while it
+  /// An admitted request rejected because its time limit expired while it
   /// waited in line.
   void note_deadline_reject();
 
@@ -168,7 +165,6 @@ class AdmissionQueue {
   void wake_if_runs_done();
 
   AdmissionOptions options_;
-  std::size_t reserve_;  ///< line slots only kPriorityHigh may take
   std::atomic<bool> draining_{false};
   mutable std::mutex mu_;
   std::condition_variable runs_done_;  ///< line empty, nothing running

@@ -146,8 +146,6 @@ std::string encode_optimize_request(const OptimizeRequest& req) {
   if (req.options.bypass_cache) flags |= kFlagBypassCache;
   if (req.options.check) flags |= kFlagCheck;
   put_u8(out, flags);
-  put_u64(out, req.options.deadline_ms);
-  put_u8(out, req.options.priority);
   put_str(out, req.options.map_lib);
   put_u32(out, req.options.lut_k);
   return out;
@@ -163,8 +161,6 @@ OptimizeRequest decode_optimize_request(const std::string& payload) {
   req.options.time_limit_ms = r.u64();
   req.options.jobs = r.u32();
   const std::uint8_t flags = r.u8();
-  req.options.deadline_ms = r.u64();
-  req.options.priority = r.u8();
   req.options.map_lib = r.str();
   req.options.lut_k = r.u32();
   r.done();
@@ -174,8 +170,8 @@ OptimizeRequest decode_optimize_request(const std::string& payload) {
   }
   req.options.bypass_cache = (flags & kFlagBypassCache) != 0;
   req.options.check = (flags & kFlagCheck) != 0;
-  if (req.options.priority > opt::kPriorityHigh) {
-    throw SerializeError("bdsd protocol: request priority out of range");
+  if (req.options.time_limit_ms > opt::kMaxTimeLimitMs) {
+    throw SerializeError("bdsd protocol: request time_limit_ms out of range");
   }
   if (req.options.lut_k != 0 &&
       (req.options.lut_k < 2 || req.options.lut_k > 6)) {

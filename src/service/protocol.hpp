@@ -8,7 +8,7 @@
 //
 // and this build speaks exactly one revision, kProtocolRevision. Client and
 // daemon ship together, so read_frame() rejects any other marker byte --
-// an older peer's bare `length | type` header or a rev-2 marker alike --
+// an older peer's bare `length | type` header or a rev-3 marker alike --
 // with a SerializeError that names the revision this build speaks, which
 // tells a version skew apart from corruption.
 //
@@ -29,7 +29,7 @@
 namespace bds::service {
 
 /// The protocol revision this build speaks.
-inline constexpr std::uint8_t kProtocolRevision = 3;
+inline constexpr std::uint8_t kProtocolRevision = 4;
 
 /// High nibble of the header byte after the length prefix; the low nibble
 /// carries the revision.
@@ -53,7 +53,7 @@ inline constexpr std::uint8_t kFlagBypassCache = 1u << 0;  ///< skip ResultCache
 inline constexpr std::uint8_t kFlagCheck = 1u << 1;  ///< per-pass CEC checkpoint
 
 /// One optimization job: a BLIF network plus the shared request options
-/// (script, ceilings, deadline, priority, flags -- see
+/// (script, ceilings, time limit, flags -- see
 /// opt/request_options.hpp, the single definition all three binaries use).
 struct OptimizeRequest {
   std::string blif;            ///< BLIF text of the input network
@@ -70,7 +70,7 @@ enum class Status : std::uint8_t {
   kScriptError = 3,  ///< malformed or unknown script
   kParseError = 4,   ///< malformed BLIF text
   kNetworkError = 5,  ///< structurally invalid network
-  kBudgetExceeded = 6,  ///< the deadline ended the run
+  kBudgetExceeded = 6,  ///< the time limit ended the run
   kInternalError = 7,   ///< anything else; `error` carries what()
   kOverloaded = 8,    ///< shed at admission; retry after `retry_after_ms`
   kShuttingDown = 9,  ///< daemon draining; find another daemon or retry

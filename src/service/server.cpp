@@ -176,8 +176,7 @@ void Server::serve_connection(Connection* conn) {
         const OptimizeRequest request = decode_optimize_request(payload);
         const auto arrival = std::chrono::steady_clock::now();
         AdmissionQueue::Ticket ticket;
-        switch (admission_.offer(payload.size(), request.options.priority,
-                                 ticket)) {
+        switch (admission_.offer(payload.size(), ticket)) {
           case AdmitResult::kAdmitted:
             // Runs here once the gate gives it a turn. The slot is freed
             // before the write, so a peer that stops reading stalls only
@@ -275,17 +274,17 @@ OptimizeResponse Server::handle(
     admission_span.count("drained", static_cast<double>(gate.drained));
   }
 
-  // Deadline already blown (typically: it expired while the request sat in
-  // the queue)? Reject before parsing a byte -- the request asked for a
+  // Time limit already blown (typically: it expired while the request sat
+  // in the queue)? Reject before parsing a byte -- the request asked for a
   // result by a time that has passed, so any work now is wasted.
-  if (ro.deadline_ms != 0 &&
+  if (ro.time_limit_ms != 0 &&
       std::chrono::steady_clock::now() >=
-          arrival + std::chrono::milliseconds(ro.deadline_ms)) {
+          arrival + std::chrono::milliseconds(ro.time_limit_ms)) {
     admission_.note_deadline_reject();
     response.status = Status::kBudgetExceeded;
     response.error =
-        "deadline expired before optimization began (deadline_ms=" +
-        std::to_string(ro.deadline_ms) + ")";
+        "time limit expired before optimization began (time_limit_ms=" +
+        std::to_string(ro.time_limit_ms) + ")";
     telemetry->finish();
     return response;
   }
@@ -303,7 +302,7 @@ OptimizeResponse Server::handle(
         opt::PassManager::from_script(script, ro.to_script_params());
 
     opt::PipelineOptions popts;
-    // check, the resource ceilings, and the arrival-anchored deadline --
+    // check, the resource ceilings, and the arrival-anchored time limit --
     // the single RequestOptions -> PipelineOptions translation.
     ro.apply(popts, arrival);
     popts.telemetry = telemetry;

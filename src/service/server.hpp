@@ -13,7 +13,7 @@
 // An admitted request waits at the gate for its turn (FIFO, at most
 // `concurrency` requests running at once) and then runs on the same
 // reader thread, under its own ResourceBudget (the request's ceilings
-// plus its arrival-anchored deadline) and a telemetry hub labeled
+// plus its arrival-anchored time limit) and a telemetry hub labeled
 // `request-<id>`, so traces from concurrent requests never interleave.
 // Its running slot is freed before the response is written, so a peer
 // that stops reading stalls only its own connection thread. A
@@ -100,7 +100,7 @@ class Server {
   /// Handles one decoded request in the calling thread -- the unit each
   /// connection thread runs once admitted, exposed directly so tests and
   /// the bench harness can exercise daemon semantics without a socket.
-  /// `arrival` anchors the request's deadline_ms; the overload without it
+  /// `arrival` anchors the request's time_limit_ms; the overload without it
   /// means "arrived now".
   OptimizeResponse handle(const OptimizeRequest& request);
   OptimizeResponse handle(const OptimizeRequest& request,

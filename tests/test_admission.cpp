@@ -1,15 +1,14 @@
 // The admission layer: the bounded gate each bdsd request passes before
 // its connection thread runs it. Unit-level: depth and byte ceilings shed
-// immediately, the priority reserve keeps high-priority traffic
-// admissible under normal-priority flood, admitted tickets get their turn
+// immediately and alike for every request, admitted tickets get their turn
 // in FIFO order, a finished run frees its slot before delivery, drain
 // flips offers to kShuttingDown while admitted work completes, a hard
 // stop turns waiting tickets away, and the client backoff schedule
 // respects its cap / the server's hint / the jitter band.
 // Server-level, over a real socket: a flood against a tiny queue sheds
 // fast and cheap while every admitted request stays byte-identical,
-// SIGTERM-style drain delivers in-flight work, an expired deadline is
-// rejected before any BDD work starts, and a peer that never reads its
+// SIGTERM-style drain delivers in-flight work, a request whose time limit
+// expired while it queued is rejected before any BDD work starts, and a peer that never reads its
 // response holds no running slot and does not block a hard stop.
 #include <gtest/gtest.h>
 
@@ -89,9 +88,9 @@ using Ticket = AdmissionQueue::Ticket;
 /// Offers a request of `bytes` payload bytes; an admitted ticket joins
 /// `held`, in admission order.
 AdmitResult offer(AdmissionQueue& gate, std::vector<Ticket>& held,
-                  std::size_t bytes, std::uint8_t priority = 0) {
+                  std::size_t bytes) {
   Ticket ticket;
-  const AdmitResult result = gate.offer(bytes, priority, ticket);
+  const AdmitResult result = gate.offer(bytes, ticket);
   if (result == AdmitResult::kAdmitted) held.push_back(std::move(ticket));
   return result;
 }
@@ -107,22 +106,18 @@ void run_all(std::vector<Ticket>& held) {
 
 TEST(AdmissionQueue, DepthIsAHardBoundAndShedsBeyondIt) {
   AdmissionOptions options;
-  options.queue_depth = 4;  // reserve = 1, so normal traffic gets 3 slots
+  options.queue_depth = 4;
   options.concurrency = 1;
   AdmissionQueue gate(options);
   std::vector<Ticket> held;
 
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(offer(gate, held, 10), AdmitResult::kAdmitted) << i;
   }
-  EXPECT_EQ(offer(gate, held, 10), AdmitResult::kOverloaded)
-      << "slot 4 is the priority reserve";
-  // The reserve admits high-priority traffic past the normal limit...
-  EXPECT_EQ(offer(gate, held, 10, opt::kPriorityHigh),
-            AdmitResult::kAdmitted);
-  // ...but depth itself is absolute, even for high priority.
-  EXPECT_EQ(offer(gate, held, 10, opt::kPriorityHigh),
-            AdmitResult::kOverloaded);
+  // The line is full: the next request is shed, whoever sends it.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(offer(gate, held, 10), AdmitResult::kOverloaded) << i;
+  }
   EXPECT_EQ(gate.counters().admitted, 4u);
   EXPECT_EQ(gate.counters().sheds, 2u);
 
@@ -198,9 +193,6 @@ TEST(AdmissionQueue, DrainRejectsNewWorkWhileAdmittedWorkCompletes) {
   gate.begin_drain();
   EXPECT_TRUE(gate.draining());
   EXPECT_EQ(offer(gate, held, 1), AdmitResult::kShuttingDown);
-  EXPECT_EQ(offer(gate, held, 1, opt::kPriorityHigh),
-            AdmitResult::kShuttingDown)
-      << "drain outranks priority";
   EXPECT_FALSE(gate.idle());
 
   ASSERT_TRUE(held[0].wait_turn()) << "admitted work survives drain";
@@ -229,8 +221,7 @@ TEST(AdmissionQueue, CloseTurnsWaitingTicketsAwayAndLetsRunningOnesFinish) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   gate.close();
   waiter.join();
-  EXPECT_EQ(offer(gate, held, 1, opt::kPriorityHigh),
-            AdmitResult::kShuttingDown);
+  EXPECT_EQ(offer(gate, held, 1), AdmitResult::kShuttingDown);
   EXPECT_EQ(gate.counters().in_flight, 1u) << "running work is not cut off";
   held[0].release();
   gate.wait_runs_done();
@@ -322,9 +313,9 @@ TEST(RetryBackoff, ServerHintFloorsTheSchedule) {
   EXPECT_LE(unhinted, 400u);
 }
 
-// An expired deadline is rejected before the BLIF is even parsed: the
-// response is kBudgetExceeded naming the deadline, and the daemon counts a
-// deadline_reject, not a shed.
+// A time limit that expired while the request queued is rejected before
+// the BLIF is even parsed: the response is kBudgetExceeded naming the
+// time limit, and the daemon counts a deadline_reject, not a shed.
 TEST(AdmissionServer, ExpiredDeadlineRejectedBeforeAnyWork) {
   ServerOptions options;
   options.socket_path = unique_socket_path("deadline");
@@ -332,18 +323,18 @@ TEST(AdmissionServer, ExpiredDeadlineRejectedBeforeAnyWork) {
 
   OptimizeRequest req;
   req.blif = "this would not even parse";  // must never be parsed
-  req.options.deadline_ms = 5;
+  req.options.time_limit_ms = 5;
   const auto stale_arrival =
       std::chrono::steady_clock::now() - std::chrono::seconds(10);
   const OptimizeResponse resp = server.handle(req, stale_arrival);
   EXPECT_EQ(resp.status, Status::kBudgetExceeded);
-  EXPECT_NE(resp.error.find("deadline"), std::string::npos) << resp.error;
+  EXPECT_NE(resp.error.find("time limit"), std::string::npos) << resp.error;
   EXPECT_EQ(server.stats().deadline_rejects, 1u);
   EXPECT_EQ(server.stats().sheds, 0u);
 
   // The same request with room to spare runs normally (and fails on the
   // garbage BLIF, proving the reject above happened pre-parse).
-  req.options.deadline_ms = 60000;
+  req.options.time_limit_ms = 60000;
   EXPECT_EQ(server.handle(req).status, Status::kParseError);
 }
 
@@ -355,7 +346,7 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
   ServerOptions options;
   options.socket_path = unique_socket_path("flood");
   options.concurrency = 2;
-  options.queue_depth = 2;  // 1 normal slot + 1 priority reserve
+  options.queue_depth = 2;
   Server server(std::move(options));
   server.start();
   ServeThread serving(server);

@@ -324,9 +324,31 @@ TEST(RequestOptions, CountsAreParsedStrictly) {
   EXPECT_THROW(parse_request_flag("-node-limit", " -1"), ParseError);
   EXPECT_THROW(parse_request_flag("-node-limit", "18446744073709551616"),
                ParseError);
-  EXPECT_THROW(parse_request_flag("-deadline-ms", "+5"), ParseError);
+  // -time-limit takes seconds, stored as whole ms (a positive limit never
+  // rounds down to 0, "no limit"); NaN, infinity and a limit the steady
+  // clock cannot add to an arrival time are refused.
+  EXPECT_EQ(parse_request_flag("-time-limit", "2.5").time_limit_ms, 2500u);
+  EXPECT_EQ(parse_request_flag("-time-limit", "0.0001").time_limit_ms, 1u);
+  EXPECT_EQ(parse_request_flag("-time-limit", "0").time_limit_ms, 0u);
+  for (const char* bad : {"-1", "5s", "", "nan", "inf", "1e300"}) {
+    EXPECT_THROW(parse_request_flag("-time-limit", bad), ParseError)
+        << '"' << bad << '"';
+  }
   // -lut is a 32-bit field: 2^32 + 2 must not wrap to a valid 2.
   EXPECT_THROW(parse_request_flag("-lut", "4294967298"), ParseError);
+}
+
+TEST(RequestOptions, OneTimeBoundAndNoPriority) {
+  // -time-limit is the only time bound and there is one admission lane:
+  // the flags that set a second bound or a priority are not request flags.
+  for (std::string flag : {"-deadline-ms", "-priority"}) {
+    std::string value = "1";
+    char* argv[] = {flag.data(), value.data()};
+    int i = 0;
+    opt::RequestOptions ro;
+    EXPECT_FALSE(ro.parse_cli_arg(2, argv, i)) << flag;
+    EXPECT_EQ(i, 0) << flag;
+  }
 }
 
 }  // namespace

@@ -54,8 +54,6 @@ TEST(ServiceProtocol, RequestRoundTripsAllFields) {
   req.options.node_limit = 12345;
   req.options.byte_limit = 1u << 20;
   req.options.time_limit_ms = 2500;
-  req.options.deadline_ms = 9000;
-  req.options.priority = opt::kPriorityHigh;
   req.options.jobs = 4;
   req.options.bypass_cache = true;
   req.options.check = true;
@@ -69,8 +67,6 @@ TEST(ServiceProtocol, RequestRoundTripsAllFields) {
   EXPECT_EQ(out.options.node_limit, req.options.node_limit);
   EXPECT_EQ(out.options.byte_limit, req.options.byte_limit);
   EXPECT_EQ(out.options.time_limit_ms, req.options.time_limit_ms);
-  EXPECT_EQ(out.options.deadline_ms, 9000u);
-  EXPECT_EQ(out.options.priority, opt::kPriorityHigh);
   EXPECT_EQ(out.options.jobs, req.options.jobs);
   EXPECT_TRUE(out.options.bypass_cache);
   EXPECT_TRUE(out.options.check);
@@ -125,24 +121,18 @@ TEST(ServiceProtocol, ResponseAndStatsRoundTrip) {
 
 TEST(ServiceProtocol, MalformedPayloadsRaiseSerializeError) {
   const std::string good = encode_optimize_request(OptimizeRequest{});
-  // Truncation at every prefix boundary (rev-3 layout).
+  // Truncation at every prefix boundary (rev-4 layout).
   for (std::size_t n = 0; n < good.size(); ++n) {
     EXPECT_THROW(decode_optimize_request(good.substr(0, n)), SerializeError);
   }
   // Trailing bytes (a newer dialect of the same revision) are rejected,
   // not ignored.
   EXPECT_THROW(decode_optimize_request(good + "y"), SerializeError);
-  // Unknown flag bits (the flags byte sits 17 bytes from the rev-3 tail:
-  // u64 deadline + u8 priority + u32 map_lib length + u32 lut_k follow it).
+  // Unknown flag bits (the flags byte sits 8 bytes from the rev-4 tail:
+  // u32 map_lib length + u32 lut_k follow it).
   {
     std::string bad = good;
-    bad[bad.size() - 18] = static_cast<char>(0x80);
-    EXPECT_THROW(decode_optimize_request(bad), SerializeError);
-  }
-  // Priority out of range (sits just before the rev-3 mapping fields).
-  {
-    std::string bad = good;
-    bad[bad.size() - 9] = static_cast<char>(9);
+    bad[bad.size() - 9] = static_cast<char>(0x80);
     EXPECT_THROW(decode_optimize_request(bad), SerializeError);
   }
   // lut_k out of range (trailing u32).
@@ -150,6 +140,13 @@ TEST(ServiceProtocol, MalformedPayloadsRaiseSerializeError) {
     std::string bad = good;
     bad[bad.size() - 4] = static_cast<char>(1);
     EXPECT_THROW(decode_optimize_request(bad), SerializeError);
+  }
+  // A time limit past the ceiling (arrival + limit must not overflow).
+  {
+    OptimizeRequest req;
+    req.options.time_limit_ms = opt::kMaxTimeLimitMs + 1;
+    EXPECT_THROW(decode_optimize_request(encode_optimize_request(req)),
+                 SerializeError);
   }
   // Unknown response status byte.
   {
@@ -166,7 +163,7 @@ TEST(ServiceProtocol, MalformedPayloadsRaiseSerializeError) {
 }
 
 // Any frame header other than the current revision's marker -- an older
-// peer's bare rev-1 header, a rev-2 marker, an unknown future revision --
+// peer's bare rev-1 header, a rev-3 marker, an unknown future revision --
 // is rejected with a message naming what the peer sent and the revision
 // this build speaks: the one diagnostic that separates version skew from
 // corruption.
@@ -177,25 +174,35 @@ TEST(ServiceProtocol, UnknownRevisionRejectedByName) {
   };
   const Case cases[] = {
       {static_cast<char>(0xB7), "revision-7"},  // unknown future revision
-      {static_cast<char>(0xB2), "revision-2"},  // the previous revision
+      {static_cast<char>(0xB3), "revision-3"},  // the previous revision
+      {static_cast<char>(0xB2), "revision-2"},
       {static_cast<char>(FrameType::kOptimizeRequest), "revision-1"},
   };
+  OptimizeRequest req;
+  req.blif = kBlif;
+  const std::string payload = encode_optimize_request(req);
   for (const Case& c : cases) {
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    // Length 0, then the header byte under test.
-    const char raw[] = {0, 0, 0, 0, c.header_byte};
-    ASSERT_EQ(::write(fds[0], raw, sizeof raw),
-              static_cast<ssize_t>(sizeof raw));
+    // A whole optimize-request frame under the header byte being tested.
+    std::string frame;
+    for (int i = 0; i < 4; ++i) {
+      frame.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xffu));
+    }
+    frame.push_back(c.header_byte);
+    frame.push_back(static_cast<char>(FrameType::kOptimizeRequest));
+    frame += payload;
+    ASSERT_EQ(::write(fds[0], frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
     FrameType type{};
-    std::string payload;
+    std::string read_payload;
     try {
-      read_frame(fds[1], type, payload);
+      read_frame(fds[1], type, read_payload);
       ADD_FAILURE() << c.sent << " frame was accepted";
     } catch (const SerializeError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(c.sent), std::string::npos) << what;
-      EXPECT_NE(what.find("this build speaks revision 3"), std::string::npos)
+      EXPECT_NE(what.find("this build speaks revision 4"), std::string::npos)
           << what;
     }
     ::close(fds[0]);
