@@ -1,30 +1,26 @@
-// Continuous benchmark suite: runs the generated circuit families through
-// the registered `bds` and `rugged` pipelines, builds global BDDs per
-// family to exercise the manager's computed table and GC. A `budget`
-// section runs a forced-degradation flow whose output is
-// equivalence-checked. A `telemetry` section times the `bds`
-// pipeline with and without a full Telemetry hub. A `node_store` section
-// reports the SoA layout's sizeof-derived bytes/node and the unique-table
-// load factor of a representative build. A `service` section drives the bdsd
-// daemon's request path in-process (Server::handle(), no socket) over a
-// repeated family workload: the cold batch pays reorder+decompose, the
-// warm batch is served from the content-addressed result cache and must
-// come back byte-identical at >= 2x. An `overload` section floods a real
-// socket-backed daemon at 4x its concurrency twice -- once behind the
-// bounded admission queue, once with the queue ceiling effectively
-// removed -- and records the p99 latency of admitted requests on both
-// sides plus the cost of every shed: admission must keep the admitted p99
-// below the unbounded baseline's while answering each shed in well under
-// 10ms, with every admitted result byte-identical. A `mapping` section
-// runs every family through the bds / rugged / mini-SIS scripts with the
-// reserved `map` parameter bound to the embedded MCNC-like library -- the
-// exact pipeline `optimize_blif -map` and the daemon build -- recording
-// pre-map literals and mapped area/delay from the pass counters, plus a
-// bds 4-LUT covering point; every mapped netlist is equivalence-checked.
-// Emits one JSON report (default BENCH_pr10.json) that CI uploads as an
-// artifact, so manager regressions show up as a diff in the numbers, not
-// an anecdote. `hardware_concurrency` is recorded alongside: the service
-// and overload sections run on several threads.
+// Continuous benchmark suite. A `budget` section runs a forced-degradation
+// flow whose output is equivalence-checked. A `telemetry` section times the
+// `bds` pipeline with and without a full Telemetry hub. A `service` section
+// drives the bdsd daemon's request path in-process (Server::handle(), no
+// socket) over a repeated family workload: the cold batch pays
+// reorder+decompose, the warm batch is served from the content-addressed
+// result cache and must come back byte-identical at >= 2x. An `overload`
+// section floods a real socket-backed daemon at 4x its concurrency twice --
+// once behind the bounded admission queue, once with the queue ceiling
+// effectively removed -- and records the p99 latency of admitted requests
+// on both sides plus the cost of every shed: admission must keep the
+// admitted p99 below the unbounded baseline's while answering each shed in
+// well under 10ms, with every admitted result byte-identical. A `mapping`
+// section runs every generated circuit family once through each of the
+// bds / rugged / mini-SIS scripts with the reserved `map` parameter bound
+// to the embedded MCNC-like library -- the exact pipeline `optimize_blif
+// -map` and the daemon build -- recording the family's size, the pre-map
+// literals and depth, the peak BDD nodes and the mapped area/delay from the
+// pass counters, plus a bds 4-LUT covering point; every mapped netlist is
+// equivalence-checked. Emits one JSON report (default BENCH_pr10.json)
+// that CI uploads as an artifact, so regressions show up as a diff in the
+// numbers, not an anecdote. `hardware_concurrency` is recorded alongside:
+// the service and overload sections run on several threads.
 //
 // Usage: bench_suite [-out <path>] [-quick]
 #include <unistd.h>
@@ -42,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "gen/gen.hpp"
 #include "net/network.hpp"
 #include "opt/bds_passes.hpp"
@@ -57,11 +52,7 @@
 namespace {
 
 using bds::Timer;
-using bds::bdd::Bdd;
-using bds::bdd::Manager;
-using bds::bdd::Var;
 using bds::net::Network;
-using bds::net::NodeId;
 
 // ---------------------------------------------------------------------------
 // Tiny JSON writer (no new dependencies): builds an indented object tree.
@@ -120,91 +111,19 @@ class Json {
 };
 
 // ---------------------------------------------------------------------------
-// Global-BDD construction (the cec.cpp pattern): topo walk turning each
-// node's SOP cover into AND/OR of fanin functions, sifting under pressure.
-
-struct GlobalBuild {
-  std::unique_ptr<Manager> mgr;
-  std::vector<Bdd> outputs;
-  double seconds = 0.0;
-  bool aborted = false;
-};
-
-GlobalBuild build_global_bdds(const Network& net, std::size_t max_live_nodes) {
-  GlobalBuild gb;
-  gb.mgr = std::make_unique<Manager>(
-      static_cast<std::uint32_t>(net.num_inputs()));
-  Manager& mgr = *gb.mgr;
-  Timer t;
-
-  std::vector<Bdd> value(net.raw_size());
-  Var next_var = 0;
-  for (const NodeId pi : net.inputs()) value[pi] = mgr.var(next_var++);
-
-  std::size_t reorder_at = std::min<std::size_t>(20'000, max_live_nodes / 8);
-  for (const NodeId id : net.topo_order()) {
-    const bds::net::Node& n = net.node(id);
-    value[id] = bds::sop::eval_cover(
-        n.func, mgr.zero(), mgr.one(),
-        [&](unsigned i) -> const Bdd& { return value[n.fanins[i]]; });
-    if (mgr.live_nodes() > reorder_at) {
-      mgr.reorder_sift();
-      reorder_at = std::max(reorder_at, mgr.live_nodes() * 4);
-    }
-    if (mgr.live_nodes() > max_live_nodes) {
-      gb.aborted = true;
-      break;
-    }
-  }
-  if (!gb.aborted) {
-    for (const auto& [name, driver] : net.outputs()) {
-      gb.outputs.push_back(driver == bds::net::kNoNode ? mgr.zero()
-                                                       : value[driver]);
-    }
-  }
-  gb.seconds = t.seconds();
-  return gb;
-}
-
-// ---------------------------------------------------------------------------
-// Family runs: each generated circuit goes through both registered
-// pipelines, and through a plain global-BDD build that records ManagerStats.
-
-struct FlowResult {
-  double seconds = 0.0;
-  unsigned literals_after = 0;
-  unsigned depth_after = 0;
-  std::size_t peak_bdd_nodes = 0;
-};
-
-FlowResult run_flow(const Network& input, const std::string& script) {
-  FlowResult r;
-  Network net = input;
-  bds::opt::PassManager pm = bds::opt::PassManager::from_script(script);
-  bds::opt::PassContext ctx;
-  const bds::opt::PipelineStats ps = pm.run(net, {}, ctx);
-  r.seconds = ps.seconds_total;
-  r.literals_after = net.total_literals();
-  r.depth_after = net.depth();
-  if (const auto* st = ctx.find_state<bds::opt::BdsFlowState>()) {
-    r.peak_bdd_nodes = st->peak_bdd_nodes();
-  } else {
-    r.peak_bdd_nodes = static_cast<std::size_t>(ps.counter("peak_bdd_nodes"));
-  }
-  return r;
-}
-
 // Mapped flow: the same registered script with the reserved `map` /
 // `lut_k` / `reorder` parameters bound, so the bench builds the exact
 // pipeline `optimize_blif -map` and the daemon build for those options.
 // Mapped area/delay/LUT counts come back through the pass counters (the
-// one instrumentation path `-stats` and `-profile` print), and every
-// mapped netlist is equivalence-checked against the family input.
+// one instrumentation path `-stats` and `-profile` print), the optimized
+// network's literals and depth from the mapping pass's entry sizes, and
+// every mapped netlist is equivalence-checked against the family input.
 
-struct MappedFlowResult {
+struct MappedRun {
   double seconds = 0.0;
   unsigned literals_premap = 0;  ///< factored literals entering the mapper
-  unsigned literals_after = 0;   ///< SOP literals of the mapped netlist
+  unsigned depth_premap = 0;     ///< network depth entering the mapper
+  std::size_t peak_bdd_nodes = 0;
   double mapped_gates = 0.0;
   double mapped_area = 0.0;
   double mapped_delay = 0.0;
@@ -213,16 +132,20 @@ struct MappedFlowResult {
   bool equivalent = false;
 };
 
-MappedFlowResult run_mapped_flow(const Network& input,
-                                 const std::string& script,
-                                 const bds::opt::ScriptParams& params) {
-  MappedFlowResult r;
+MappedRun run_mapped_flow(const Network& input, const std::string& script,
+                          const bds::opt::ScriptParams& params) {
+  MappedRun r;
   Network net = input;
   bds::opt::PassManager pm =
       bds::opt::PassManager::from_script(script, params);
-  const bds::opt::PipelineStats ps = pm.run(net);
+  bds::opt::PassContext ctx;
+  const bds::opt::PipelineStats ps = pm.run(net, {}, ctx);
   r.seconds = ps.seconds_total;
-  r.literals_after = net.total_literals();
+  if (const auto* st = ctx.find_state<bds::opt::BdsFlowState>()) {
+    r.peak_bdd_nodes = st->peak_bdd_nodes();
+  } else {
+    r.peak_bdd_nodes = static_cast<std::size_t>(ps.counter("peak_bdd_nodes"));
+  }
   r.mapped_gates = ps.counter("mapped_gates");
   r.mapped_area = ps.counter("mapped_area");
   r.mapped_delay = ps.counter("mapped_delay");
@@ -231,6 +154,7 @@ MappedFlowResult run_mapped_flow(const Network& input,
   for (const bds::opt::PassStats& pass : ps.passes) {
     if (pass.name == "map" || pass.name == "lutmap") {
       r.literals_premap = pass.lits_before;
+      r.depth_premap = pass.depth_before;
       break;
     }
   }
@@ -325,32 +249,6 @@ TelemetryBenchResult run_telemetry_bench(int reps) {
           rep == 0 ? s : std::min(r.pipeline_on_seconds, s);
     }
   }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Node-store section: the layout constants as the compiler sees them and
-// the unique-table density of a representative build.
-
-struct NodeStoreResult {
-  std::string circuit;
-  std::size_t unique_buckets = 0;
-  std::size_t unique_entries = 0;
-  double load_factor = 0.0;
-};
-
-NodeStoreResult run_node_store_bench() {
-  NodeStoreResult r;
-  constexpr unsigned kAdderBits = 24;
-  const Network net = bds::gen::ripple_adder(kAdderBits);
-  GlobalBuild gb = build_global_bdds(net, 2'000'000);
-  r.circuit = "ripple_adder(" + std::to_string(kAdderBits) + ")";
-  r.unique_buckets = gb.mgr->unique_table_buckets();
-  r.unique_entries = gb.mgr->unique_table_entries();
-  r.load_factor = r.unique_buckets > 0
-                      ? static_cast<double>(r.unique_entries) /
-                            static_cast<double>(r.unique_buckets)
-                      : 0.0;
   return r;
 }
 
@@ -552,31 +450,6 @@ OverloadSide run_overload_side(const std::string& blif, unsigned workers,
   return side;
 }
 
-void emit_manager_stats(Json& json, const Manager& mgr) {
-  const bds::bdd::ManagerStats& ms = mgr.stats();
-  json.field("live_nodes", ms.live_nodes);
-  json.field("peak_live_nodes", ms.peak_live_nodes);
-  json.field("peak_memory_bytes", ms.peak_memory_bytes);
-  json.field("gc_runs", ms.gc_runs);
-  json.field("cache_entries", ms.cache_entries);
-  json.field("cache_resizes", ms.cache_resizes);
-  json.field("cache_lookups", ms.cache_lookups);
-  json.field("cache_hits", ms.cache_hits);
-  json.field("cache_hit_rate",
-             ms.cache_lookups > 0
-                 ? static_cast<double>(ms.cache_hits) /
-                       static_cast<double>(ms.cache_lookups)
-                 : 0.0);
-  json.open("per_op");
-  for (std::size_t i = 0; i < bds::bdd::kNumCacheOps; ++i) {
-    json.open(std::string(bds::bdd::kCacheOpNames[i]));
-    json.field("lookups", ms.cache_op_lookups[i]);
-    json.field("hits", ms.cache_op_hits[i]);
-    json.close();
-  }
-  json.close();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -619,26 +492,7 @@ int main(int argc, char** argv) {
   json.field("pr", "pr10");
   json.field("hardware_concurrency", std::thread::hardware_concurrency());
 
-  // -- Node store: layout and table density ---------------------------------
-  std::cout << "== node store ==\n";
   bool all_ok = true;
-  const NodeStoreResult ns = run_node_store_bench();
-  std::cout << "  store " << bds::bdd::kNodeStoreBytesPerNode
-            << " B/node + refs " << bds::bdd::kNodeRefBytesPerNode
-            << " B/node (sizeof-derived; was 24 hand-maintained)\n"
-            << "  " << ns.circuit << ": unique table " << ns.unique_entries
-            << " entries / " << ns.unique_buckets << " buckets, load "
-            << std::fixed << std::setprecision(2) << ns.load_factor << "\n";
-  json.open("node_store");
-  json.field("store_bytes_per_node", bds::bdd::kNodeStoreBytesPerNode);
-  json.field("ref_bytes_per_node", bds::bdd::kNodeRefBytesPerNode);
-  json.field("scratch_bytes_per_node", bds::bdd::kNodeScratchBytesPerNode);
-  json.field("total_bytes_per_node", bds::bdd::kBytesPerNode);
-  json.field("circuit", ns.circuit);
-  json.field("unique_table_buckets", ns.unique_buckets);
-  json.field("unique_table_entries", ns.unique_entries);
-  json.field("unique_table_load_factor", ns.load_factor);
-  json.close();
 
   // -- Forced degradation ---------------------------------------------------
   std::cout << "== resource budget ==\n";
@@ -822,13 +676,20 @@ int main(int argc, char** argv) {
   for (const Family& fam : families) {
     json.open();
     json.field("name", fam.name);
+    json.field("generator", fam.generator);
+    json.field("inputs", fam.net.num_inputs());
+    json.field("outputs", fam.net.num_outputs());
+    json.field("literals", fam.net.total_literals());
+    json.field("depth", fam.net.depth());
     json.open("flows");
     for (const char* script : {"bds", "rugged", "sis"}) {
-      const MappedFlowResult mr =
+      const MappedRun mr =
           run_mapped_flow(fam.net, script, {{"map", "mcnc"}});
       json.open(script);
       json.field("seconds", mr.seconds);
       json.field("literals_premap", mr.literals_premap);
+      json.field("depth_premap", mr.depth_premap);
+      json.field("peak_bdd_nodes", mr.peak_bdd_nodes);
       json.field("mapped_gates", mr.mapped_gates);
       json.field("mapped_area", mr.mapped_area);
       json.field("mapped_delay", mr.mapped_delay);
@@ -841,14 +702,15 @@ int main(int argc, char** argv) {
       }
       std::cout << "  " << std::left << std::setw(12) << fam.name
                 << std::right << std::setw(8) << script << "  lits "
-                << std::setw(6) << mr.literals_premap << "  area "
+                << std::setw(6) << mr.literals_premap << "  depth "
+                << std::setw(3) << mr.depth_premap << "  area "
                 << std::setw(7) << std::fixed << std::setprecision(1)
                 << mr.mapped_area << "  delay " << std::setw(5)
                 << std::setprecision(2) << mr.mapped_delay
                 << (mr.equivalent ? "" : "  NOT EQUIVALENT!") << "\n";
     }
     {
-      const MappedFlowResult mr =
+      const MappedRun mr =
           run_mapped_flow(fam.net, "bds", {{"lut_k", "4"}});
       json.open("bds_lut4");
       json.field("seconds", mr.seconds);
@@ -873,54 +735,13 @@ int main(int argc, char** argv) {
   }
   json.close_list();
 
-  // -- Families -------------------------------------------------------------
-  std::cout << "== circuit families ==\n";
-  json.open_list("families");
-  for (const Family& fam : families) {
-    json.open();
-    json.field("name", fam.name);
-    json.field("generator", fam.generator);
-    json.field("inputs", fam.net.num_inputs());
-    json.field("outputs", fam.net.num_outputs());
-    json.field("literals", fam.net.total_literals());
-    json.field("depth", fam.net.depth());
-
-    json.open("flows");
-    for (const char* script : {"bds", "rugged"}) {
-      const FlowResult fr = run_flow(fam.net, script);
-      json.open(script);
-      json.field("seconds", fr.seconds);
-      json.field("literals_after", fr.literals_after);
-      json.field("depth_after", fr.depth_after);
-      json.field("peak_bdd_nodes", fr.peak_bdd_nodes);
-      json.close();
-      std::cout << "  " << std::left << std::setw(12) << fam.name
-                << std::right << std::setw(8) << script << "  lits "
-                << std::setw(6) << fr.literals_after << "  depth "
-                << std::setw(3) << fr.depth_after << "  " << std::fixed
-                << std::setprecision(2) << fr.seconds << "s\n";
-    }
-    json.close();
-
-    const GlobalBuild gb = build_global_bdds(fam.net, 2'000'000);
-    json.open("global_bdd");
-    json.field("seconds", gb.seconds);
-    json.field("aborted", gb.aborted);
-    if (!gb.aborted) {
-      emit_manager_stats(json, *gb.mgr);
-    }
-    json.close();
-    json.close();
-    if (gb.aborted) all_ok = false;
-  }
-  json.close_list();
   json.close();
   out << '\n';
   out.close();
 
   std::cout << "wrote " << out_path << "\n";
   if (!all_ok) {
-    std::cerr << "bench_suite: cross-check failed or a build aborted\n";
+    std::cerr << "bench_suite: a cross-check failed\n";
     return 1;
   }
   return 0;

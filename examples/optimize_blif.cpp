@@ -4,14 +4,14 @@
 //
 // Usage:
 //   optimize_blif <input.blif> [-o out.blif] [-gates out_mapped.blif]
-//                 [-flow bds|sis] [-script "<passes>"] [-j N]
+//                 [-script "<passes>"] [-j N]
 //                 [-node-limit N] [-time-limit S] [-nomap] [-noverify]
 //                 [-stats] [-trace] [-check] [-profile]
 //                 [-trace-json FILE] [-list-passes]
 //
-// The optimization flow is a pass pipeline (src/opt/): `-flow` selects one
-// of the registered scripts ("bds", "rugged"), `-script` runs an
-// arbitrary script such as "sweep; eliminate -1; simplify; gkx; resub",
+// The optimization flow is a pass pipeline (src/opt/): `-script` names one
+// of the registered scripts ("bds", the default; "rugged"; "sis") or runs
+// an arbitrary script such as "sweep; eliminate -1; simplify; gkx; resub",
 // `-trace` prints each pass as it completes, `-check` proves every
 // network-modifying pass equivalent to its input, and `-stats` prints the
 // shared per-pass time/size breakdown table. `-j N` runs the decompose
@@ -83,7 +83,7 @@ constexpr const char* kDemo = R"(
 
 int usage() {
   std::cerr << "usage: optimize_blif [input.blif] [-o out.blif] "
-               "[-gates out_mapped.blif] [-flow bds|sis] [-nomap] [-noverify] "
+               "[-gates out_mapped.blif] [-nomap] [-noverify] "
                "[-stats] [-trace] [-profile] [-trace-json FILE] "
                "[-list-passes]\n"
                "shared request options (also bds-client / the bdsd wire "
@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   std::string input_path;
   std::string output_path;
   std::string gate_path;
-  std::string flow = "bds";
   bool do_map = true;
   bool do_verify = true;
   bool show_stats = false;
@@ -137,8 +136,6 @@ int main(int argc, char** argv) {
         output_path = argv[++i];
       } else if (arg == "-gates" && i + 1 < argc) {
         gate_path = argv[++i];
-      } else if (arg == "-flow" && i + 1 < argc) {
-        flow = argv[++i];
       } else if (arg == "-nomap") {
         do_map = false;
       } else if (arg == "-noverify") {
@@ -168,9 +165,7 @@ int main(int argc, char** argv) {
     std::cerr << "optimize_blif: " << e.what() << "\n";
     return usage();
   }
-  if (flow != "bds" && flow != "sis") return usage();
-  const std::string script =
-      ro.script.empty() ? ((flow == "bds") ? "bds" : "rugged") : ro.script;
+  const std::string script = ro.script.empty() ? "bds" : ro.script;
   const bool check = ro.check;
 
   // Gate mapping is part of the pipeline: the default run maps onto the

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -171,8 +170,6 @@ void Manager::reset(std::size_t cache_entries) {
   shrink(visits_);
   shrink(visit_stack_);
   shrink(var_visit_);
-  shrink(scratch_mant_);
-  shrink(scratch_exp_);
   shrink(scratch_edge_);
   shrink(scratch_num_);
   shrink(node_scratch_);
@@ -662,138 +659,6 @@ std::vector<Var> Manager::support(Edge e) const {
   return result;
 }
 
-namespace {
-// Density of a function kept as m * 2^e with m in [0.5, 1) or m == 0: a
-// plain double underflows for wide supports (an AND of 1100 inputs has
-// density 2^-1100), silently turning sat counts into 0.
-struct ScaledDensity {
-  double m = 0.0;
-  std::int32_t e = 0;
-};
-
-ScaledDensity normalize(double m, std::int32_t e) {
-  if (m == 0.0) return {0.0, 0};
-  int shift = 0;
-  m = std::frexp(m, &shift);
-  return {m, e + shift};
-}
-
-// 0.5 * (a + b), exponent-aligned so the sum itself cannot underflow.
-ScaledDensity half_sum(ScaledDensity a, ScaledDensity b) {
-  if (a.m == 0.0) return normalize(b.m, b.e - 1);
-  if (b.m == 0.0) return normalize(a.m, a.e - 1);
-  if (a.e < b.e) std::swap(a, b);
-  return normalize(a.m + std::ldexp(b.m, b.e - a.e), a.e - 1);
-}
-
-// 1 - d, for complement edges. Densities within 2^-53 of 1 round to 1.
-ScaledDensity complement1(ScaledDensity d) {
-  if (d.m == 0.0 || d.e < -60) return {0.5, 1};
-  return normalize(1.0 - std::ldexp(d.m, d.e), 0);
-}
-
-// Post-order DFS marker: node indices occupy at most 31 bits (a Lit packs
-// index << 1 | complement in 32), so the stack reuses the top bit to tag
-// "children done, compute this node" entries.
-constexpr std::uint32_t kComputeBit = 0x80000000u;
-}  // namespace
-
-double Manager::sat_count_plain(Edge e, std::uint32_t nvars) const {
-  // Same post-order as the scaled path below, with per-node densities as
-  // plain doubles: every density is >= 2^-nvars, so for small supports no
-  // normalization is needed and the frexp/ldexp per node disappears.
-  const std::uint32_t epoch = begin_visit();
-  scratch_mant_.resize(vars_.size());
-  const Edge* thens = thens_.data();
-  const Edge* elses = elses_.data();
-  std::uint32_t* visits = visits_.data();
-  double* dens = scratch_mant_.data();
-  visits[0] = epoch;
-  dens[0] = 1.0;
-  const std::uint32_t root = e.regular().node();
-  const auto read = [&](Edge c) {
-    const double d = dens[c.node()];
-    return c.complemented() ? 1.0 - d : d;
-  };
-  std::vector<std::uint32_t>& stack = visit_stack_;
-  stack.clear();
-  if (visits[root] != epoch) stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t entry = stack.back();
-    stack.pop_back();
-    const std::uint32_t idx = entry & ~kComputeBit;
-    if ((entry & kComputeBit) != 0) {
-      dens[idx] = 0.5 * (read(thens[idx]) + read(elses[idx]));
-      continue;
-    }
-    if (visits[idx] == epoch) continue;  // discovered via another path
-    visits[idx] = epoch;
-    stack.push_back(idx | kComputeBit);
-    const std::uint32_t hi = thens[idx].node();
-    const std::uint32_t lo = elses[idx].node();
-    if (visits[hi] != epoch) stack.push_back(hi);
-    if (visits[lo] != epoch) stack.push_back(lo);
-  }
-  const double frac = e.complemented() ? 1.0 - dens[root] : dens[root];
-  return std::ldexp(frac, static_cast<std::int32_t>(nvars));
-}
-
-double Manager::sat_count(Edge e, std::uint32_t nvars) const {
-  // Fraction of the Boolean space mapped to 1, memoized per regular node.
-  // Densities live in [2^-nvars, 1]: up to ~1000 variables that range
-  // cannot underflow a plain double (min normal 2^-1022) and the fast path
-  // applies; wider supports take the scaled mantissa/exponent path, whose
-  // final count is one ldexp, not nvars doublings.
-  if (nvars <= 1000) return sat_count_plain(e, nvars);
-  //
-  // Post-order via compute markers: discovering a node stamps it and pushes
-  // a marked copy below its (unstamped) children, so each node is popped at
-  // most twice -- once to expand, once to compute. A previously-stamped
-  // child is always computed before any later parent's marker pops: the
-  // levels are strictly decreasing along edges, so a stamped child's own
-  // marker can never sit below a parent discovered later.
-  const std::uint32_t epoch = begin_visit();
-  scratch_mant_.resize(vars_.size());
-  scratch_exp_.resize(vars_.size());
-  const Edge* thens = thens_.data();
-  const Edge* elses = elses_.data();
-  std::uint32_t* visits = visits_.data();
-  double* mant = scratch_mant_.data();
-  std::int32_t* expo = scratch_exp_.data();
-  visits[0] = epoch;
-  mant[0] = 0.5;  // terminal 1: density 1.0
-  expo[0] = 1;
-  const std::uint32_t root = e.regular().node();
-  const auto read = [&](Edge c) {
-    const ScaledDensity d{mant[c.node()], expo[c.node()]};
-    return c.complemented() ? complement1(d) : d;
-  };
-  std::vector<std::uint32_t>& stack = visit_stack_;
-  stack.clear();
-  if (visits[root] != epoch) stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t entry = stack.back();
-    stack.pop_back();
-    const std::uint32_t idx = entry & ~kComputeBit;
-    if ((entry & kComputeBit) != 0) {
-      const ScaledDensity d = half_sum(read(thens[idx]), read(elses[idx]));
-      mant[idx] = d.m;
-      expo[idx] = d.e;
-      continue;
-    }
-    if (visits[idx] == epoch) continue;  // discovered via another path
-    visits[idx] = epoch;
-    stack.push_back(idx | kComputeBit);
-    const std::uint32_t hi = thens[idx].node();
-    const std::uint32_t lo = elses[idx].node();
-    if (visits[hi] != epoch) stack.push_back(hi);
-    if (visits[lo] != epoch) stack.push_back(lo);
-  }
-  ScaledDensity frac{mant[root], expo[root]};
-  if (e.complemented()) frac = complement1(frac);
-  return std::ldexp(frac.m, frac.e + static_cast<std::int32_t>(nvars));
-}
-
 bool Manager::eval(Edge e, const std::vector<bool>& assignment) const {
   bool phase = e.complemented();
   std::uint32_t idx = e.node();
@@ -808,13 +673,25 @@ bool Manager::eval(Edge e, const std::vector<bool>& assignment) const {
 
 // ----- transfer ("BDD mapping") ------------------------------------------------
 
+namespace {
+// Post-order DFS marker: node indices occupy at most 31 bits (a Lit packs
+// index << 1 | complement in 32), so the stack reuses the top bit to tag
+// "children done, compute this node" entries.
+constexpr std::uint32_t kComputeBit = 0x80000000u;
+}  // namespace
+
 Edge Manager::transfer_to(Manager& dst, Edge e,
                           const std::vector<Var>& var_map) const {
   assert(&dst != this && "transfer_to needs a distinct destination manager");
   if (e.is_constant()) return e;
-  // Stamped post-order (same compute-marker scheme as sat_count) with the
-  // per-node memo in scratch_edge_ (this-node -> dst regular edge); no
-  // recursion, so arbitrarily deep chains transfer. No GC can run in dst
+  // Stamped post-order with the per-node memo in scratch_edge_ (this-node
+  // -> dst regular edge); no recursion, so arbitrarily deep chains
+  // transfer. Discovering a node stamps it and pushes a marked copy below
+  // its (unstamped) children, so each node is popped at most twice -- once
+  // to expand, once to compute. A previously-stamped child is always
+  // computed before any later parent's marker pops: levels strictly
+  // decrease along edges, so a stamped child's own marker can never sit
+  // below a parent discovered later. No GC can run in dst
   // because only raw operations are used here. All node identity here is
   // index-based: the memo is indexed by this manager's node index, and dst
   // literals are compared as values, never as addresses.
@@ -890,18 +767,6 @@ bool Manager::check_consistency() const {
     if (level2var_[var2level_[v]] != v) return false;
   }
   return true;
-}
-
-std::size_t Manager::unique_table_buckets() const {
-  std::size_t buckets = 0;
-  for (const Subtable& st : subtables_) buckets += st.buckets.size();
-  return buckets;
-}
-
-std::size_t Manager::unique_table_entries() const {
-  std::size_t entries = 0;
-  for (const Subtable& st : subtables_) entries += st.count;
-  return entries;
 }
 
 }  // namespace bds::bdd

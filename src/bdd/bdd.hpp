@@ -302,8 +302,6 @@ class Manager {
   /// on this manager.
   template <class Fn>
   std::uint32_t number_post_order(Edge e, Fn&& fn) const;
-  /// Number of satisfying assignments over `nvars` variables.
-  [[nodiscard]] double sat_count(Edge e, std::uint32_t nvars) const;
   /// Evaluates the function under a full assignment (indexed by Var).
   [[nodiscard]] bool eval(Edge e, const std::vector<bool>& assignment) const;
 
@@ -370,11 +368,6 @@ class Manager {
 
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t live_nodes() const { return stats_.live_nodes; }
-  /// Total bucket count across all unique subtables (O(num_vars)).
-  [[nodiscard]] std::size_t unique_table_buckets() const;
-  /// Total nodes chained in the unique subtables, live and dead
-  /// (O(num_vars)); entries / buckets is the unique-table load factor.
-  [[nodiscard]] std::size_t unique_table_entries() const;
   /// Writes a Graphviz rendering of the functions in `roots` (bdd/dot.cpp).
   void write_dot(std::ostream& os, const std::vector<Edge>& roots,
                  const std::vector<std::string>& root_names = {},
@@ -460,9 +453,6 @@ class Manager {
   std::uint32_t begin_visit() const;
   /// Marks and counts the nodes reachable from `e` not yet stamped `epoch`.
   std::size_t count_nodes(Edge e, std::uint32_t epoch) const;
-  /// sat_count over plain doubles -- the fast path when `nvars` is small
-  /// enough that per-node densities (>= 2^-nvars) cannot underflow.
-  double sat_count_plain(Edge e, std::uint32_t nvars) const;
   void update_memory_stats();
 
   // Reordering internals (bdd/reorder.cpp).
@@ -510,8 +500,6 @@ class Manager {
   mutable std::vector<std::uint32_t> visits_;      ///< per-node epoch stamps
   mutable std::vector<std::uint32_t> visit_stack_;
   mutable std::vector<std::uint32_t> var_visit_;   ///< per-var epoch stamps
-  mutable std::vector<double> scratch_mant_;       ///< sat_count densities
-  mutable std::vector<std::int32_t> scratch_exp_;  ///< (mantissa, exponent)
   mutable std::vector<Edge> scratch_edge_;         ///< transfer_to memo
   mutable std::vector<std::uint32_t> scratch_num_; ///< number_post_order ids
   /// Node-index worklist of gc() and swap_levels() (never both at once).
@@ -665,9 +653,6 @@ class Bdd {
   [[nodiscard]] std::size_t size() const { return req("Bdd::size").size(e_); }
   [[nodiscard]] std::vector<Var> support() const {
     return req("Bdd::support").support(e_);
-  }
-  [[nodiscard]] double sat_count(std::uint32_t nvars) const {
-    return req("Bdd::sat_count").sat_count(e_, nvars);
   }
   [[nodiscard]] bool eval(const std::vector<bool>& assignment) const {
     return req("Bdd::eval").eval(e_, assignment);

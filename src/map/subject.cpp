@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <functional>
+#include <ranges>
 
 #include "sis/factor.hpp"
 
@@ -122,19 +123,8 @@ SubjectGraph build_subject_graph(const Network& net) {
     }
     // Factor the local cover (signals = fanin positions), then expand the
     // factored tree into NAND2/INV.
-    sis::SparseSop sparse;
-    for (const sop::Cube& c : n.func.cubes()) {
-      sis::SparseCube sc;
-      for (unsigned i = 0; i < c.num_vars(); ++i) {
-        const sop::Literal l = c.get(i);
-        if (l == sop::Literal::kAbsent) continue;
-        sc.push_back(sis::lit(i, l == sop::Literal::kNeg));
-      }
-      std::sort(sc.begin(), sc.end());
-      sparse.cubes.push_back(std::move(sc));
-    }
-    sparse.normalize();
-    const sis::FactoredForm form = sis::factor(sparse);
+    const sis::FactoredForm form =
+        sis::factor(sis::to_sparse(n.func, std::views::iota(0u)));
 
     const std::function<std::int32_t(std::int32_t)> expand =
         [&](std::int32_t fi) -> std::int32_t {

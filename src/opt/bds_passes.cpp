@@ -4,8 +4,10 @@
 #include <bit>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -77,19 +79,8 @@ core::FactId fallback_factor_node(const net::Network& net, BdsFlowState& st,
   const net::Node& n = net.node(id);
   if (n.func.is_constant_zero()) return st.forest.const0();
   if (n.func.has_full_cube()) return st.forest.const1();
-  sis::SparseSop sparse;
-  for (const sop::Cube& c : n.func.cubes()) {
-    sis::SparseCube sc;
-    for (unsigned i = 0; i < c.num_vars(); ++i) {
-      const sop::Literal l = c.get(i);
-      if (l == sop::Literal::kAbsent) continue;
-      sc.push_back(sis::lit(i, l == sop::Literal::kNeg));
-    }
-    std::sort(sc.begin(), sc.end());
-    sparse.cubes.push_back(std::move(sc));
-  }
-  sparse.normalize();
-  const sis::FactoredForm form = sis::factor(sparse);
+  const sis::FactoredForm form =
+      sis::factor(sis::to_sparse(n.func, std::views::iota(0u)));
 
   const std::function<core::FactId(std::int32_t)> expand =
       [&](std::int32_t fi) -> core::FactId {
@@ -161,7 +152,8 @@ class BdsPartitionPass final : public Pass {
                                     std::to_string(opts_.max_bdd)));
     opts_.max_passes = static_cast<unsigned>(parse_size_arg(
         "bds_partition", flag_value("bds_partition", args, "-passes",
-                                    std::to_string(opts_.max_passes))));
+                                    std::to_string(opts_.max_passes)),
+        std::numeric_limits<unsigned>::max()));
   }
 
   std::string_view name() const override { return "bds_partition"; }

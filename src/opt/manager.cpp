@@ -61,8 +61,8 @@ PassManager PassManager::from_script(const std::string& script,
   for (const auto& [key, value] : params) {
     // Reserved mapping keys: rather than binding a flag on a pass the
     // script must already contain, they append the `map` / `lutmap`
-    // passes to the end of ANY script -- so `-flow rugged -map mcnc`
-    // works the same as `-flow bds -map lib.genlib`, from the CLI, the
+    // passes to the end of ANY script -- so `-script rugged -map mcnc`
+    // works the same as `-script bds -map lib.genlib`, from the CLI, the
     // daemon, and the bench harness alike.
     if (key == "map") {
       map_lib = value;

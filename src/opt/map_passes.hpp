@@ -1,7 +1,7 @@
 // Technology-mapping passes: `map` (genlib gate mapping, src/map/mapper)
 // and `lutmap` (k-LUT covering, src/map/lutmap) registered under the
 // script/parameter API, so any flow can end in a mapped netlist --
-// `-flow bds -map lib.genlib`, `bds_decompose; ...; map -lib mcnc`, or a
+// `-script bds -map lib.genlib`, `bds_decompose; ...; map -lib mcnc`, or a
 // daemon request carrying RequestOptions::map_lib. The passes replace the
 // network with the mapped netlist in place (instance nodes keep their gate
 // SOPs, so per-pass CEC checkpoints verify the mapping like any other

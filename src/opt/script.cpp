@@ -67,13 +67,19 @@ int parse_int_arg(std::string_view pass, std::string_view value) {
   return result;
 }
 
-std::size_t parse_size_arg(std::string_view pass, std::string_view value) {
-  const int v = parse_int_arg(pass, value);
-  if (v < 0) {
-    throw ScriptError(std::string(pass) + ": expected a non-negative count, got '" +
-                      std::string(value) + "'");
+std::size_t parse_size_arg(std::string_view pass, std::string_view value,
+                           std::size_t max) {
+  // Plain decimal digits only: from_chars takes no sign or blank for an
+  // unsigned type.
+  std::size_t result = 0;
+  const char* const last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, result);
+  if (ec != std::errc{} || ptr != last || result > max) {
+    throw ScriptError(std::string(pass) + ": expected a count in 0.." +
+                      std::to_string(max) + ", got '" + std::string(value) +
+                      "'");
   }
-  return static_cast<std::size_t>(v);
+  return result;
 }
 
 std::string flag_value(std::string_view pass,

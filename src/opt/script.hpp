@@ -8,6 +8,8 @@
 //   resub; full_simplify
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,8 +38,10 @@ std::vector<ScriptCommand> parse_script(std::string_view text);
 
 /// Parses a full-string integer; ScriptError mentioning `pass` otherwise.
 int parse_int_arg(std::string_view pass, std::string_view value);
-/// Parses a full-string non-negative integer.
-std::size_t parse_size_arg(std::string_view pass, std::string_view value);
+/// Parses a full-string count in 0..max: decimal digits only, no sign or
+/// blank.
+std::size_t parse_size_arg(std::string_view pass, std::string_view value,
+                           std::size_t max = SIZE_MAX);
 
 /// Returns the value following flag `flag` in `args` (e.g. "-passes" "4"),
 /// or `fallback` when absent. Throws when the flag is last with no value.

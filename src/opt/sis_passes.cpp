@@ -2,6 +2,7 @@
 // eliminate, simplify, gkx (fast-extract), resub, and full_simplify. Each
 // pass holds its own option struct built from script arguments, runs the
 // corresponding engine entry point, and reports its effect as counters.
+#include <limits>
 #include <memory>
 
 #include "opt/registry.hpp"
@@ -23,13 +24,17 @@ class SweepPass final : public Pass {
   }
 };
 
+/// Ceiling of the counts stored in `unsigned` option fields.
+constexpr std::size_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
 /// Shared flag handling for the passes parameterized by SisOptions.
 sis::SisOptions sis_options_from(std::string_view pass,
                                  const std::vector<std::string>& args) {
   sis::SisOptions opts;
   opts.eliminate_passes = static_cast<unsigned>(parse_size_arg(
       pass, flag_value(pass, args, "-passes",
-                       std::to_string(opts.eliminate_passes))));
+                       std::to_string(opts.eliminate_passes)),
+      kMaxUnsigned));
   opts.max_node_cubes = parse_size_arg(
       pass, flag_value(pass, args, "-max_cubes",
                        std::to_string(opts.max_node_cubes)));
@@ -78,7 +83,8 @@ class ExtractPass final : public Pass {
     opts_ = sis_options_from("gkx", args);
     opts_.extract_passes = static_cast<unsigned>(parse_size_arg(
         "gkx", flag_value("gkx", args, "-passes",
-                          std::to_string(opts_.extract_passes))));
+                          std::to_string(opts_.extract_passes)),
+        kMaxUnsigned));
   }
   std::string_view name() const override { return "gkx"; }
   void run(net::Network& net, PassContext& ctx) override {
@@ -112,7 +118,8 @@ class FullSimplifyPass final : public Pass {
                   {"-max_fanins", "-max_nodes", "-max_dc_cubes"}, {});
     opts_.max_fanins = static_cast<unsigned>(parse_size_arg(
         "full_simplify", flag_value("full_simplify", args, "-max_fanins",
-                                    std::to_string(opts_.max_fanins))));
+                                    std::to_string(opts_.max_fanins)),
+        kMaxUnsigned));
     opts_.max_manager_nodes = parse_size_arg(
         "full_simplify",
         flag_value("full_simplify", args, "-max_nodes",

@@ -6,9 +6,12 @@
 // sorted vector of literals, a literal is 2*signal + phase.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sop/sop.hpp"
 
 namespace bds::sis {
 
@@ -48,6 +51,27 @@ struct SparseSop {
 
   bool operator==(const SparseSop&) const = default;
 };
+
+/// The sparse form of a dense SOP cover whose variable i is the signal
+/// `signal[i]`: a node's fanin list for the network-wide signal space, or
+/// `std::views::iota(0u)` for the cover's own variable positions. Each cube
+/// comes out sorted and the cover normalized.
+template <class Signals>
+SparseSop to_sparse(const sop::Sop& cover, const Signals& signal) {
+  SparseSop f;
+  for (const sop::Cube& c : cover.cubes()) {
+    SparseCube sc;
+    for (unsigned i = 0; i < c.num_vars(); ++i) {
+      const sop::Literal l = c.get(i);
+      if (l == sop::Literal::kAbsent) continue;
+      sc.push_back(lit(signal[i], l == sop::Literal::kNeg));
+    }
+    std::sort(sc.begin(), sc.end());
+    f.cubes.push_back(std::move(sc));
+  }
+  f.normalize();
+  return f;
+}
 
 // ---- cube algebra --------------------------------------------------------------
 

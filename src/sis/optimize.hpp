@@ -24,8 +24,6 @@ struct SisOptions {
   unsigned extract_passes = 12;
 };
 
-/// Converts a node's local cover into the sparse global-signal form.
-SparseSop to_sparse(const net::Network& net, net::NodeId id);
 /// Installs a sparse cover (over signal ids) as the node's function.
 void set_from_sparse(net::Network& net, net::NodeId id, const SparseSop& f);
 

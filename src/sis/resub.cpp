@@ -16,23 +16,6 @@ using sop::Cube;
 using sop::Literal;
 using sop::Sop;
 
-SparseSop to_sparse(const Network& net, NodeId id) {
-  const net::Node& n = net.node(id);
-  SparseSop f;
-  for (const Cube& c : n.func.cubes()) {
-    SparseCube sc;
-    for (unsigned i = 0; i < c.num_vars(); ++i) {
-      const Literal l = c.get(i);
-      if (l == Literal::kAbsent) continue;
-      sc.push_back(lit(n.fanins[i], l == Literal::kNeg));
-    }
-    std::sort(sc.begin(), sc.end());
-    f.cubes.push_back(std::move(sc));
-  }
-  f.normalize();
-  return f;
-}
-
 void set_from_sparse(Network& net, NodeId id, const SparseSop& f) {
   const std::vector<std::uint32_t> signals = f.support();
   std::vector<NodeId> fanins(signals.begin(), signals.end());
@@ -52,6 +35,12 @@ void set_from_sparse(Network& net, NodeId id, const SparseSop& f) {
 }
 
 namespace {
+
+/// A node's cover over the network-wide signal space.
+SparseSop sparse_cover(const Network& net, NodeId id) {
+  const net::Node& n = net.node(id);
+  return to_sparse(n.func, n.fanins);
+}
 
 /// Substitutes node `src`'s cover (and its complement where needed) into a
 /// sparse cover that references it as a literal. Returns false if the
@@ -113,12 +102,12 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
       }
       if (consumers.empty()) continue;
 
-      const SparseSop on = to_sparse(net, id);
+      const SparseSop on = sparse_cover(net, id);
       const unsigned own_lits = net.node(id).func.literal_count();
       // Complement needed only when a consumer uses the negative literal.
       bool need_off = false;
       for (const NodeId m : consumers) {
-        const SparseSop fm = to_sparse(net, m);
+        const SparseSop fm = sparse_cover(net, m);
         for (const SparseCube& c : fm.cubes) {
           if (std::binary_search(c.begin(), c.end(), lit(id, true))) {
             need_off = true;
@@ -129,20 +118,7 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
       SparseSop off;
       if (need_off) {
         // Complement on the node's dense local cover, then translate.
-        const Sop comp = net.node(id).func.complement();
-        SparseSop sp;
-        for (const Cube& c : comp.cubes()) {
-          SparseCube sc;
-          for (unsigned i = 0; i < c.num_vars(); ++i) {
-            const Literal l = c.get(i);
-            if (l == Literal::kAbsent) continue;
-            sc.push_back(lit(net.node(id).fanins[i], l == Literal::kNeg));
-          }
-          std::sort(sc.begin(), sc.end());
-          sp.cubes.push_back(std::move(sc));
-        }
-        sp.normalize();
-        off = std::move(sp);
+        off = to_sparse(net.node(id).func.complement(), net.node(id).fanins);
       }
 
       // Tentatively substitute into every consumer and measure literals.
@@ -150,7 +126,7 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
       std::vector<std::pair<NodeId, SparseSop>> replacement;
       bool feasible = true;
       for (const NodeId m : consumers) {
-        SparseSop fm = to_sparse(net, m);
+        SparseSop fm = sparse_cover(net, m);
         const std::size_t before = fm.literal_count();
         if (!substitute_signal(fm, id, on, off, opts.max_node_cubes)) {
           feasible = false;
@@ -197,7 +173,7 @@ std::size_t extract_divisors(Network& net, const SisOptions& opts) {
 
     const auto order = net.topo_order();
     for (const NodeId id : order) {
-      const SparseSop f = to_sparse(net, id);
+      const SparseSop f = sparse_cover(net, id);
       if (f.cubes.size() < 2) continue;
       // Kernel divisors.
       for (KernelPair& kp : all_kernels(f, opts.max_kernels)) {
@@ -240,7 +216,7 @@ std::size_t extract_divisors(Network& net, const SisOptions& opts) {
       long long value =
           -static_cast<long long>(c.divisor.literal_count());
       for (const NodeId u : c.users) {
-        const SparseSop f = to_sparse(net, u);
+        const SparseSop f = sparse_cover(net, u);
         const auto [q, r] = divide(f, c.divisor);
         if (q.is_zero()) continue;
         value += static_cast<long long>(f.literal_count()) -
@@ -261,7 +237,7 @@ std::size_t extract_divisors(Network& net, const SisOptions& opts) {
       std::vector<std::pair<NodeId, SparseSop>> rewrites;
       long long value = -static_cast<long long>(c->divisor.literal_count());
       for (const NodeId u : c->users) {
-        const SparseSop f = to_sparse(net, u);
+        const SparseSop f = sparse_cover(net, u);
         const auto [q, r] = divide(f, c->divisor);
         if (q.is_zero()) continue;
         const long long saving =
@@ -277,7 +253,7 @@ std::size_t extract_divisors(Network& net, const SisOptions& opts) {
       const NodeId nd = net.add_node(net.fresh_name("d"), {}, Sop(0));
       set_from_sparse(net, nd, c->divisor);
       for (auto& [u, unused] : rewrites) {
-        const SparseSop f = to_sparse(net, u);
+        const SparseSop f = sparse_cover(net, u);
         const auto [q, r] = divide(f, c->divisor);
         SparseSop rebuilt = r;
         SparseCube tmp;
@@ -330,7 +306,7 @@ std::size_t resubstitute(Network& net, const SisOptions& opts) {
   }
 
   for (const NodeId f_id : order) {
-    const SparseSop f = to_sparse(net, f_id);
+    const SparseSop f = sparse_cover(net, f_id);
     if (f.cubes.size() < 2) continue;
     const auto f_support = f.support();
     if (f_support.empty()) continue;
@@ -342,7 +318,7 @@ std::size_t resubstitute(Network& net, const SisOptions& opts) {
       if (g_id == f_id || net.node(g_id).kind != net::NodeKind::kLogic) {
         continue;
       }
-      const SparseSop g = to_sparse(net, g_id);
+      const SparseSop g = sparse_cover(net, g_id);
       if (g.cubes.size() < 2) continue;
       const auto g_support = g.support();
       if (!std::includes(f_support.begin(), f_support.end(),

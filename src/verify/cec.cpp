@@ -17,7 +17,7 @@ namespace {
 
 /// Builds global BDDs for all outputs of a network, with PI variables
 /// assigned through `pi_var` (keyed by PI name).
-std::unordered_map<std::string, Bdd> global_bdds(
+std::unordered_map<std::string, Bdd> output_bdds(
     const Network& net, Manager& mgr,
     const std::unordered_map<std::string, bdd::Var>& pi_var,
     std::size_t max_live_nodes, std::size_t& reorder_at) {
@@ -106,8 +106,8 @@ CecResult check_equivalence(
   try {
     std::size_t reorder_at =
         std::min<std::size_t>(20'000, max_live_nodes / 8);
-    const auto fa = global_bdds(a, mgr, pi_var, max_live_nodes, reorder_at);
-    const auto fb = global_bdds(b, mgr, pi_var, max_live_nodes, reorder_at);
+    const auto fa = output_bdds(a, mgr, pi_var, max_live_nodes, reorder_at);
+    const auto fb = output_bdds(b, mgr, pi_var, max_live_nodes, reorder_at);
     for (const auto& [name, func_a] : fa) {
       const auto it = fb.find(name);
       if (it == fb.end()) {

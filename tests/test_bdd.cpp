@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -96,16 +95,6 @@ TEST(Bdd, SupportListsExactlyDependentVars) {
   EXPECT_EQ(f.support(), (std::vector<Var>{0, 3, 4}));
   const Bdd g = mgr.var(1) ^ mgr.var(1);  // constant
   EXPECT_TRUE(g.support().empty());
-}
-
-TEST(Bdd, SatCountMatchesOracle) {
-  Manager mgr(6);
-  Rng rng(11);
-  for (int i = 0; i < 10; ++i) {
-    const TruthTable t = TruthTable::random(6, rng);
-    const Bdd f = from_table(mgr, t);
-    EXPECT_DOUBLE_EQ(f.sat_count(6), static_cast<double>(t.count_ones()));
-  }
 }
 
 // ---- randomized operator properties -----------------------------------------
@@ -317,24 +306,6 @@ TEST(Bdd, DotExportMentionsAllRoots) {
   EXPECT_NE(s.find("\"f\""), std::string::npos);
   EXPECT_NE(s.find("\"g\""), std::string::npos);
   EXPECT_NE(s.find("\"a\""), std::string::npos);
-}
-
-TEST(Bdd, SatCountSurvivesWideSupports) {
-  // AND of 1200 variables: minterm density 2^-1200 underflows a plain
-  // double to 0, which the old implementation then multiplied back up to
-  // 0 "satisfying assignments". The scaled mantissa/exponent densities
-  // must return exactly 1.
-  constexpr std::uint32_t kVars = 1200;
-  Manager mgr(kVars);
-  Bdd f = mgr.one();
-  for (Var v = 0; v < kVars; ++v) f = f & mgr.var(v);
-  EXPECT_EQ(f.sat_count(kVars), 1.0);
-  // The complement misses exactly one assignment out of 2^1200.
-  EXPECT_EQ((!f).sat_count(kVars), std::ldexp(1.0, 1200) - 1.0);
-  // OR of all positive literals: all assignments except all-zero satisfy.
-  Bdd g = mgr.zero();
-  for (Var v = 0; v < kVars; ++v) g = g | mgr.var(v);
-  EXPECT_EQ(g.sat_count(kVars), std::ldexp(1.0, 1200) - 1.0);
 }
 
 // ---- computed-table policy (PR 2) -------------------------------------------
@@ -601,24 +572,6 @@ TEST(BddGc, SaturatedNodeSurvivesCollection) {
   // reset() discards the whole graph, pinned nodes included.
   mgr.reset();
   EXPECT_EQ(mgr.stats().saturated_refs, 0u);
-}
-
-// sat_count switches from plain doubles to the scaled mantissa/exponent
-// path above 1000 variables; both sides of the boundary must agree with
-// the closed form.
-TEST(Bdd, SatCountAgreesAcrossThePathBoundary) {
-  Manager mgr(3);
-  const Bdd f = mgr.var(0) & mgr.var(1) & mgr.var(2);
-  const Bdd g = mgr.var(0) ^ mgr.var(1);
-  for (const std::uint32_t nvars : {1000u, 1001u}) {
-    EXPECT_DOUBLE_EQ(f.sat_count(nvars),
-                     std::ldexp(1.0, static_cast<int>(nvars) - 3));
-    EXPECT_DOUBLE_EQ(g.sat_count(nvars),
-                     std::ldexp(1.0, static_cast<int>(nvars) - 1));
-    EXPECT_DOUBLE_EQ(mgr.one().sat_count(nvars),
-                     std::ldexp(1.0, static_cast<int>(nvars)));
-    EXPECT_DOUBLE_EQ(mgr.zero().sat_count(nvars), 0.0);
-  }
 }
 
 // ----- reset ------------------------------------------------------------------

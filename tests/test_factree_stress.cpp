@@ -83,9 +83,13 @@ TEST(FactreeStress, DeepChainToBdd) {
   bdd::Manager mgr(kChainVars);
   const bdd::Bdd f = forest.to_bdd(root, mgr);
   // The AND of 100k variables: one BDD node per variable plus the terminal,
-  // exactly one satisfying assignment.
+  // and canonically the chain built node by node in the same manager.
   EXPECT_EQ(f.size(), kChainVars + 1);
-  EXPECT_EQ(f.sat_count(kChainVars), 1.0);
+  bdd::Edge chain = bdd::Edge::one();
+  for (std::uint32_t v = kChainVars; v-- > 0;) {
+    chain = mgr.mk(v, chain, bdd::Edge::zero());
+  }
+  EXPECT_EQ(f.edge(), chain);
 }
 
 TEST(FactreeStress, DeepChainBalanceCollapsesDepth) {

@@ -40,7 +40,7 @@ std::vector<net::Network> families() {
   return circuits;
 }
 
-struct FlowResult {
+struct BdsRun {
   std::string blif;
   PassStats decompose;  ///< stats of the bds_decompose pass
 };
@@ -49,11 +49,11 @@ PassManager bds_at(unsigned jobs) {
   return PassManager::from_script("bds", {{"jobs", std::to_string(jobs)}});
 }
 
-FlowResult run_bds(const net::Network& input, unsigned jobs) {
+BdsRun run_bds(const net::Network& input, unsigned jobs) {
   net::Network net = input;
   const PipelineStats ps = bds_at(jobs).run(net);
 
-  FlowResult r;
+  BdsRun r;
   std::ostringstream out;
   net::write_blif(out, net);
   r.blif = out.str();
@@ -71,10 +71,10 @@ const char* const kInvariantCounters[] = {"dominators", "mux", "generalized",
 
 TEST(ParallelDecompose, FourWorkersBitIdenticalToSerial) {
   for (const net::Network& input : families()) {
-    const FlowResult serial = run_bds(input, 1);
+    const BdsRun serial = run_bds(input, 1);
     EXPECT_EQ(serial.decompose.counter("workers"), 1.0) << input.name();
     for (const unsigned jobs : {4u, 8u}) {
-      const FlowResult parallel = run_bds(input, jobs);
+      const BdsRun parallel = run_bds(input, jobs);
       EXPECT_EQ(serial.blif, parallel.blif) << input.name() << " -j " << jobs;
       for (const char* key : kInvariantCounters) {
         EXPECT_EQ(serial.decompose.counter(key),
@@ -90,9 +90,9 @@ TEST(ParallelDecompose, FourWorkersBitIdenticalToSerial) {
 
 TEST(ParallelDecompose, OddWorkerCountsAgreeToo) {
   const net::Network input = gen::alu(4);
-  const FlowResult serial = run_bds(input, 1);
+  const BdsRun serial = run_bds(input, 1);
   for (const unsigned jobs : {2u, 3u, 7u}) {
-    const FlowResult parallel = run_bds(input, jobs);
+    const BdsRun parallel = run_bds(input, jobs);
     EXPECT_EQ(serial.blif, parallel.blif) << "-j " << jobs;
   }
 }
@@ -106,14 +106,14 @@ TEST(ParallelDecompose, ParallelResultIsEquivalentToInput) {
 
 TEST(ParallelDecompose, JobsZeroResolvesToHardwareConcurrency) {
   const net::Network input = gen::ripple_adder(6);
-  const FlowResult r = run_bds(input, 0);
+  const BdsRun r = run_bds(input, 0);
   EXPECT_EQ(r.decompose.counter("workers"),
             static_cast<double>(util::ThreadPool::resolve(0)));
 }
 
 TEST(ParallelDecompose, ReportsPerWorkerBusyTime) {
   const net::Network input = gen::alu(4);
-  const FlowResult r = run_bds(input, 2);
+  const BdsRun r = run_bds(input, 2);
   EXPECT_GE(r.decompose.counter("par_seconds_max"),
             r.decompose.counter("par_seconds_min"));
   EXPECT_GE(r.decompose.counter("par_seconds_min"), 0.0);

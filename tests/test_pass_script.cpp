@@ -96,6 +96,23 @@ TEST(Registry, BadArgumentsThrow) {
   EXPECT_THROW(PassManager::from_script("gkx -passes -3"), ScriptError);
 }
 
+TEST(Registry, CountsParseAsPlainDigitsIntoSizeT) {
+  // Counts above INT_MAX reach the std::size_t option fields.
+  EXPECT_EQ(parse_size_arg("p", "3000000000"), 3'000'000'000u);
+  PassManager pm = PassManager::from_script(
+      "bds_partition -max_bdd 3000000000; full_simplify -max_nodes 3000000000");
+  ASSERT_EQ(pm.passes().size(), 2u);
+  EXPECT_NE(pm.passes()[0]->args().find("-max_bdd 3000000000"),
+            std::string::npos);
+  // Plain decimal digits only: no sign, blank or trailing junk.
+  for (const char* bad : {"-1", "+5", " 5", "12x", ""}) {
+    EXPECT_THROW(parse_size_arg("p", bad), ScriptError) << '"' << bad << '"';
+  }
+  // A count stored in an `unsigned` field is refused past its range.
+  EXPECT_THROW(PassManager::from_script("bds_partition -passes 4294967296"),
+               ScriptError);
+}
+
 TEST(Registry, ArgumentRoundTripThroughPassObjects) {
   // name() + args() of the instantiated passes reproduce a canonical
   // script that parses back to the same pipeline.
