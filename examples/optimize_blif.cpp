@@ -220,6 +220,14 @@ int main(int argc, char** argv) {
     std::cerr << "script error: " << e.what() << "\n";
     return 2;
   }
+  // -gates writes the network the map pass returned, so that pass must be
+  // the last one: a later pass (lutmap, for -lut) would rewrite it.
+  if (!gate_path.empty() &&
+      (pipeline.empty() || pipeline.passes().back()->name() != "map")) {
+    std::cerr << "-gates needs a map pass at the end of the run (drop -nomap "
+                 "and -lut, or add -map LIB)\n";
+    return 2;
+  }
 
   opt::PipelineOptions popts;
   // check, the resource ceilings, and the optional -time-limit (anchored
@@ -267,7 +275,7 @@ int main(int argc, char** argv) {
   net::Network optimized = input;
   opt::PipelineStats pstats;
   // Caller-owned context: after the run, the MapFlowState blackboard entry
-  // holds the map pass's library and MapResult (for -gates).
+  // holds the map pass's library and instance table (for -gates).
   opt::PassContext ctx;
   try {
     pstats = pipeline.run(optimized, popts, ctx);
@@ -329,14 +337,9 @@ int main(int argc, char** argv) {
               << static_cast<long long>(pstats.counter("lut_depth")) << "\n";
   }
   if (!gate_path.empty()) {
-    const auto* mapstate = ctx.find_state<opt::MapFlowState>();
-    if (mapstate == nullptr || !mapstate->mapped) {
-      std::cerr << "-gates needs a map pass in the run (drop -nomap or add "
-                   "-map LIB)\n";
-      return 2;
-    }
+    const auto& mapstate = ctx.state<opt::MapFlowState>();
     std::ofstream gout(gate_path);
-    map::write_gate_blif(gout, mapstate->result);
+    map::write_gate_blif(gout, optimized, mapstate.instance_gate);
     std::cout << "wrote mapped netlist (.gate form) to " << gate_path
               << "\n";
   }

@@ -164,12 +164,6 @@ sop::Sop expr_to_sop(const Gate& g, std::int32_t idx) {
 
 }  // namespace
 
-sop::Sop Gate::function() const {
-  sop::Sop f = expr_to_sop(*this, expr_root);
-  f.minimize_scc();
-  return f;
-}
-
 const Gate* Library::find(const std::string& gate_name) const {
   for (const Gate& g : gates) {
     if (g.name == gate_name) return &g;
@@ -181,7 +175,7 @@ const Gate* Library::inverter() const {
   const Gate* best = nullptr;
   for (const Gate& g : gates) {
     if (g.pins.size() != 1) continue;
-    const sop::Sop f = g.function();
+    const sop::Sop& f = g.function();
     if (f.cube_count() == 1 && f.cubes()[0].get(0) == sop::Literal::kNeg) {
       if (best == nullptr || g.area < best->area) best = &g;
     }
@@ -194,7 +188,7 @@ const Gate* Library::nand2() const {
   for (const Gate& g : gates) {
     if (g.pins.size() != 2) continue;
     // Semantic check: covers of the same function can differ structurally.
-    const sop::Sop f = g.function();
+    const sop::Sop& f = g.function();
     const bool is_nand = f.eval({false, false}) && f.eval({false, true}) &&
                          f.eval({true, false}) && !f.eval({true, true});
     if (is_nand && (best == nullptr || g.area < best->area)) best = &g;
@@ -289,6 +283,8 @@ Library parse_genlib(const std::string& text) {
     } catch (const std::runtime_error& e) {
       fail("gate '" + g.name + "': " + e.what());
     }
+    g.function_ = expr_to_sop(g, g.expr_root);
+    g.function_.minimize_scc();
 
     // PIN lines: take the worst block delay over pins.
     std::string tok;

@@ -13,6 +13,8 @@
 
 namespace bds::map {
 
+struct Library;
+
 /// Boolean expression AST node for gate functions (as written in genlib).
 /// Nodes live in the owning Gate's `expr` arena; `a`/`b` are arena indices.
 struct Expr {
@@ -36,8 +38,13 @@ struct Gate {
   std::vector<std::string> pins;  ///< formal input pins, in first-use order
   double delay = 0.0;             ///< block delay (worst pin, rise/fall max)
 
-  /// Gate function as an SOP over pin indices.
-  sop::Sop function() const;
+  /// Gate function as an SOP over pin indices, derived from `expr` once,
+  /// when the library is parsed.
+  const sop::Sop& function() const { return function_; }
+
+ private:
+  friend Library parse_genlib(const std::string& text);
+  sop::Sop function_;
 };
 
 /// A parsed gate library: the target of the `map` pass and the tree

@@ -155,6 +155,7 @@ SubjectGraph build_subject_graph(const Network& net) {
                                                 : g.of_network[driver]);
   }
   g.count_fanouts();
+  g.cons_ = {};
   return g;
 }
 

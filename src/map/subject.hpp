@@ -56,6 +56,9 @@ struct SubjectGraph {
   void count_fanouts();
 
  private:
+  friend SubjectGraph build_subject_graph(const net::Network& net);
+  /// Hash-consing table; build_subject_graph() drops it once the graph is
+  /// complete, since covering only reads the graph.
   std::unordered_map<std::uint64_t, std::int32_t> cons_;
 };
 

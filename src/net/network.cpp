@@ -183,16 +183,21 @@ unsigned Network::total_literals() const {
   return n;
 }
 
-unsigned Network::depth() const {
+unsigned Network::depth() const { return stats().depth; }
+
+NetworkStats Network::stats() const {
+  NetworkStats s;
   std::vector<unsigned> level(nodes_.size(), 0);
-  unsigned max_level = 0;
   for (const NodeId id : topo_order()) {
+    const Node& n = nodes_[id];
     unsigned l = 0;
-    for (const NodeId fi : nodes_[id].fanins) l = std::max(l, level[fi]);
+    for (const NodeId fi : n.fanins) l = std::max(l, level[fi]);
     level[id] = l + 1;
-    max_level = std::max(max_level, level[id]);
+    s.depth = std::max(s.depth, level[id]);
+    s.literals += n.func.literal_count();
+    ++s.nodes;
   }
-  return max_level;
+  return s;
 }
 
 bool Network::check() const {

@@ -28,6 +28,14 @@ struct Node {
   sop::Sop func;  ///< Variables are positions into `fanins`.
 };
 
+/// Size figures of a network, as num_logic_nodes(), total_literals() and
+/// depth() report them.
+struct NetworkStats {
+  std::size_t nodes = 0;  ///< live logic nodes
+  unsigned literals = 0;  ///< SOP literals over the live logic nodes
+  unsigned depth = 0;     ///< longest PI-to-PO path in logic nodes
+};
+
 /// A combinational Boolean network. Primary outputs are named references to
 /// driver nodes. Node ids are stable until compact() is called.
 class Network {
@@ -82,6 +90,8 @@ class Network {
   unsigned total_literals() const;
   /// Longest PI-to-PO path in logic nodes (unit-delay depth).
   unsigned depth() const;
+  /// All three figures above from a single topological walk.
+  NetworkStats stats() const;
 
   /// Structural invariants: acyclicity, fanin arity vs SOP width, liveness.
   bool check() const;

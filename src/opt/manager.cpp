@@ -162,14 +162,18 @@ PipelineStats PassManager::run(net::Network& net,
   util::TelemetrySpan pipeline_span =
       util::TelemetrySpan::open(telemetry, "pipeline");
 
+  // One statistics walk per pass boundary: a pass's "after" figures are
+  // the next pass's "before" figures, and a pass that declares it leaves
+  // the network alone is not walked again.
+  net::NetworkStats current = net.stats();
   std::size_t pass_index = 0;
   for (const std::unique_ptr<Pass>& pass : passes_) {
     PassStats ps;
     ps.name = std::string(pass->name());
     ps.args = pass->args();
-    ps.nodes_before = net.num_logic_nodes();
-    ps.lits_before = net.total_literals();
-    ps.depth_before = net.depth();
+    ps.nodes_before = current.nodes;
+    ps.lits_before = current.literals;
+    ps.depth_before = current.depth;
 
     util::TelemetrySpan pass_span = util::TelemetrySpan::open(
         telemetry,
@@ -185,9 +189,10 @@ PipelineStats PassManager::run(net::Network& net,
     ps.seconds = t_pass.seconds();
     ctx.attach_counter_sink(nullptr);
 
-    ps.nodes_after = net.num_logic_nodes();
-    ps.lits_after = net.total_literals();
-    ps.depth_after = net.depth();
+    if (pass->modifies_network()) current = net.stats();
+    ps.nodes_after = current.nodes;
+    ps.lits_after = current.literals;
+    ps.depth_after = current.depth;
 
     // A pass reports partial fallback through its "degraded" counter; the
     // run is still functionally correct, just not fully decomposed.

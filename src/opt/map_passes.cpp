@@ -47,14 +47,14 @@ class TechMapPass final : public Pass {
   std::string_view name() const override { return "map"; }
   std::string args() const override { return "-lib " + lib_spec_; }
   void run(net::Network& net, PassContext& ctx) override {
-    map::MapResult result = map::map_network(net, *lib_);
+    map::MapResult result = map::map_in_place(
+        net, *lib_, map::MapObjective::kArea, ctx.telemetry());
     ctx.count("mapped_gates", static_cast<double>(result.num_gates));
     ctx.count("mapped_area", result.area);
     ctx.count("mapped_delay", result.delay);
-    net = result.netlist;
     MapFlowState& state = ctx.state<MapFlowState>();
     state.lib = lib_;
-    state.result = std::move(result);
+    state.instance_gate = std::move(result.instance_gate);
     state.mapped = true;
   }
 

@@ -17,13 +17,15 @@
 
 namespace bds::opt {
 
-/// Blackboard state left behind by the `map` pass: the full MapResult
-/// (gate instances, histogram, area/delay) and the library it points
-/// into. optimize_blif reads it to serve `-gates` (.gate-form BLIF);
-/// absent from the context when no `map` pass ran.
+/// Blackboard state left behind by the `map` pass: the library gate of
+/// each node of the network the pass returned, and the library those
+/// gates live in. optimize_blif reads it with that network to serve
+/// `-gates` (.gate-form BLIF), which is why a later pass that rewrites
+/// the network makes it stale. Absent from the context when no `map`
+/// pass ran.
 struct MapFlowState {
   std::shared_ptr<const map::Library> lib;  ///< keeps instance_gate valid
-  map::MapResult result;
+  map::InstanceTable instance_gate;  ///< gate per node of the mapped network
   bool mapped = false;  ///< true once the `map` pass has run
 };
 

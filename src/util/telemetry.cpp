@@ -261,6 +261,7 @@ std::string AggregateSink::format_profile(std::size_t top_k) const {
   const SpanEvent* root = nullptr;
   std::vector<const SpanEvent*> passes;
   std::vector<const SpanEvent*> supernodes;
+  std::vector<const SpanEvent*> map_phases;
   std::vector<const SpanEvent*> degraded;
   std::vector<const SpanEvent*> with_cache;
   for (const SpanEvent& e : events_) {
@@ -270,6 +271,7 @@ std::string AggregateSink::format_profile(std::size_t top_k) const {
       total_span_seconds += e.seconds;
     }
     if (e.name.rfind("supernode", 0) == 0) supernodes.push_back(&e);
+    if (e.name.rfind("map:", 0) == 0) map_phases.push_back(&e);
     if (counter_or(e, "degraded", 0.0) > 0.0) degraded.push_back(&e);
     if (counter_or(e, "cache_lookups", 0.0) > 0.0) with_cache.push_back(&e);
   }
@@ -317,6 +319,13 @@ std::string AggregateSink::format_profile(std::size_t top_k) const {
       const double* nodes = find_counter(*e, "bdd_nodes");
       if (nodes != nullptr) os << "  (bdd_nodes " << format_number(*nodes) << ")";
       os << "\n";
+    }
+  }
+
+  if (!map_phases.empty()) {
+    os << "  map phases:\n";
+    for (const SpanEvent* e : map_phases) {
+      os << "    " << format_ms(e->seconds) << " ms  " << e->path << "\n";
     }
   }
 

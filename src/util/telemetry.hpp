@@ -289,8 +289,8 @@ class AggregateSink final : public TelemetrySink {
   [[nodiscard]] double total(std::string_view key) const;
 
   /// The `-profile` summary: top-`top_k` depth-1 spans (passes) and
-  /// supernode spans by wall time, per-phase computed-table hit rates,
-  /// and every degradation event.
+  /// supernode spans by wall time, the `map` pass's phase spans, per-phase
+  /// computed-table hit rates, and every degradation event.
   [[nodiscard]] std::string format_profile(std::size_t top_k = 5) const;
 
  private:

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -20,6 +21,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -432,10 +436,25 @@ TEST(AdmissionServer, FloodShedsFastWhileAdmittedWorkStaysDeterministic) {
 // Graceful drain: with work admitted and executing, request_drain() (the
 // SIGTERM path) answers new requests kShuttingDown, delivers everything
 // already admitted, and lets serve() return on its own -- no stop() call.
+//
+// The drain must start while admitted work is still unfinished, however
+// fast the host. The daemon writes each request's trace to
+// `<trace_dir>/request-<id>.jsonl`; that path is made a FIFO for the first
+// request, so the request blocks in handle() -- holding the one running
+// slot, with the second request queued behind it -- until the test opens
+// the FIFO for reading, which it does only after request_drain().
 TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
+  const std::filesystem::path trace_dir =
+      "/tmp/bds-adm-drain-" + std::to_string(::getpid()) + ".d";
+  std::filesystem::remove_all(trace_dir);
+  std::filesystem::create_directory(trace_dir);
+  const std::filesystem::path held = trace_dir / "request-1.jsonl";
+  ASSERT_EQ(::mkfifo(held.c_str(), 0600), 0);
+
   ServerOptions options;
   options.socket_path = unique_socket_path("drain");
   options.concurrency = 1;  // one executor: the second request must queue
+  options.trace_dir = trace_dir.string();
   Server server(std::move(options));
   server.start();
   ServeThread serving(server);
@@ -459,7 +478,8 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   Client late(server.socket_path());
   late.connect();
 
-  // Wait until both are admitted (not merely sent) before draining.
+  // Wait until both are admitted (not merely sent) before draining. The
+  // first is held in its trace open, so neither can have finished.
   while (server.stats().admitted < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -470,6 +490,11 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   EXPECT_EQ(refused.status, Status::kShuttingDown);
   EXPECT_NE(refused.error.find("shutting down"), std::string::npos)
       << refused.error;
+
+  // Release the held request: read its trace until the daemon closes it.
+  std::ifstream fifo(held);
+  const std::string trace{std::istreambuf_iterator<char>(fifo), {}};
+  EXPECT_NE(trace.find("bds-trace/v1"), std::string::npos);
 
   // ...every admitted request is still delivered, complete and correct...
   for (auto& t : senders) t.join();
@@ -494,6 +519,7 @@ TEST(AdmissionServer, GracefulDrainDeliversInFlightWork) {
   EXPECT_EQ(again.status, admitted[0].status) << again.error;
   EXPECT_EQ(again.blif, admitted[0].blif)
       << "drain must not change what an admitted request computes";
+  std::filesystem::remove_all(trace_dir);
 }
 
 // A peer that sends a request and never reads its (large) response

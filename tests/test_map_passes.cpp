@@ -2,18 +2,23 @@
 // script parameters append the map/lutmap passes to any script, the
 // mapped netlist is CEC-equivalent to the pre-map network on the
 // generator families, mapped area/delay land in the pass counters (the
-// one instrumentation path -stats/-profile/bench read), and bad library
-// specs or LUT widths are rejected as typed script errors.
+// one instrumentation path -stats/-profile/bench read), the mapped BLIF
+// and .gate text match golden hashes, and bad library specs or LUT widths
+// are rejected as typed script errors.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gen/gen.hpp"
+#include "map/mapper.hpp"
 #include "net/network.hpp"
 #include "opt/manager.hpp"
 #include "opt/map_passes.hpp"
@@ -51,8 +56,12 @@ TEST(MapPasses, MappedOutputIsEquivalentAcrossFamilies) {
     const MapFlowState* st = ctx.find_state<MapFlowState>();
     ASSERT_NE(st, nullptr) << input.name();
     EXPECT_TRUE(st->mapped) << input.name();
-    EXPECT_EQ(st->result.num_gates,
-              static_cast<std::size_t>(ps.counter("mapped_gates")))
+    // The instance table describes the network the pass returned.
+    ASSERT_EQ(st->instance_gate.size(), net.raw_size()) << input.name();
+    EXPECT_EQ(static_cast<double>(std::count_if(
+                  st->instance_gate.begin(), st->instance_gate.end(),
+                  [](const map::Gate* g) { return g != nullptr; })),
+              ps.counter("mapped_gates"))
         << input.name();
 
     EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)))
@@ -126,6 +135,53 @@ TEST(MapPasses, MapsOntoAGenlibFile) {
   EXPECT_GT(ps.counter("mapped_gates"), 0.0);
   EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)));
   std::remove(path.c_str());
+}
+
+// 64-bit FNV-1a: a hash of the output text that is the same on every
+// platform and standard library, so golden constants can be checked in.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden mapped output: `bds` + `map -lib mcnc` on four ladder-style
+// circuits must give byte for byte the BLIF and `.gate` text these hashes
+// were taken from. A change to the optimizer or the mapper that changes a
+// result, or an instance name, fails here.
+TEST(MapPasses, MappedOutputMatchesGoldenHashes) {
+  struct Golden {
+    const char* name;
+    net::Network input;
+    std::uint64_t blif;
+    std::uint64_t gates;
+  };
+  const Golden cases[] = {
+      {"array_multiplier(8)", gen::array_multiplier(8),
+       0x0eeb665261b1d0e3ull, 0x14b6c6cf6ed82c98ull},
+      {"ripple_adder(32)", gen::ripple_adder(32), 0x80084846bc2152f6ull,
+       0xa33425ab53c74824ull},
+      {"barrel_shifter(16)", gen::barrel_shifter(16), 0x70ff19ba13ec7685ull,
+       0x0fba6667cd1aa745ull},
+      {"random_multilevel(64,40,60,32,1)",
+       gen::random_multilevel(64, 40, 60, 32, 1), 0x75931403391e2508ull,
+       0x67a59c43d5c0fc9eull},
+  };
+  for (const Golden& c : cases) {
+    net::Network net = c.input;
+    PassManager pm = PassManager::from_script("bds", {{"map", "mcnc"}});
+    PassContext ctx;
+    pm.run(net, {}, ctx);
+    const MapFlowState* st = ctx.find_state<MapFlowState>();
+    ASSERT_NE(st, nullptr) << c.name;
+    std::ostringstream gates;
+    map::write_gate_blif(gates, net, st->instance_gate);
+    EXPECT_EQ(fnv1a(net::to_blif_string(net)), c.blif) << c.name;
+    EXPECT_EQ(fnv1a(gates.str()), c.gates) << c.name;
+  }
 }
 
 TEST(MapPasses, BadSpecsAreTypedScriptErrors) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "opt/manager.hpp"
 #include "verify/cec.hpp"
@@ -290,7 +291,7 @@ TEST(Mapper, GateBlifWriterEmitsInstances) {
   MapResult r;
   expect_mapped_equivalent(net, &r);
   std::ostringstream os;
-  write_gate_blif(os, r);
+  write_gate_blif(os, r.netlist, r.instance_gate);
   const std::string text = os.str();
   EXPECT_NE(text.find(".gate"), std::string::npos);
   EXPECT_NE(text.find(".model gb_mapped"), std::string::npos);
@@ -303,6 +304,13 @@ TEST(Mapper, GateBlifWriterEmitsInstances) {
     ++count;
   }
   EXPECT_EQ(count, r.num_gates);
+
+  // A table that does not describe the netlist is refused, not indexed
+  // out of bounds.
+  const InstanceTable stale(r.netlist.raw_size() - 1, nullptr);
+  std::ostringstream unused;
+  EXPECT_THROW(write_gate_blif(unused, r.netlist, stale),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the PassManager pipeline driver: the registered flows produce
-// CEC-equivalent networks on the generator circuits, instrumentation, the
+// CEC-equivalent networks on the generator circuits, instrumentation (the
+// size figures reused across pass boundaries equal a fresh count), the
 // per-pass equivalence checkpoint, trace callbacks, and blackboard state.
 #include <gtest/gtest.h>
 
@@ -77,6 +78,44 @@ TEST(PassPipeline, PerPassCheckPassesOnBothFlows) {
     }
     EXPECT_TRUE(static_cast<bool>(verify::check_equivalence(input, net)))
         << script;
+  }
+}
+
+// Each pass's size figures come from one walk per pass boundary, reused as
+// the next pass's "before" figures. They must equal a fresh count of the
+// network at that boundary, with and without per-pass checkpoints.
+TEST(PassPipeline, StatisticsMatchAFreshCountAtEveryBoundary) {
+  for (const bool check : {false, true}) {
+    net::Network net = gen::alu(4);
+    const auto count = [&net] {
+      return net::NetworkStats{net.num_logic_nodes(), net.total_literals(),
+                               net.depth()};
+    };
+    const net::NetworkStats input = count();
+    std::vector<net::NetworkStats> after;  // fresh count after each pass
+    PipelineOptions popts;
+    popts.check = check;
+    popts.trace = [&](const PassStats&) { after.push_back(count()); };
+    PassManager pm = PassManager::from_script("bds", {{"map", "mcnc"}});
+    const PipelineStats ps = pm.run(net, popts);
+    ASSERT_EQ(after.size(), ps.passes.size());
+    for (std::size_t i = 0; i < ps.passes.size(); ++i) {
+      const PassStats& p = ps.passes[i];
+      const net::NetworkStats& before = i == 0 ? input : after[i - 1];
+      SCOPED_TRACE(p.name + (check ? " (check)" : ""));
+      EXPECT_EQ(p.nodes_before, before.nodes);
+      EXPECT_EQ(p.lits_before, before.literals);
+      EXPECT_EQ(p.depth_before, before.depth);
+      EXPECT_EQ(p.nodes_after, after[i].nodes);
+      EXPECT_EQ(p.lits_after, after[i].literals);
+      EXPECT_EQ(p.depth_after, after[i].depth);
+      if (i == 0) continue;
+      const PassStats& prev = ps.passes[i - 1];
+      EXPECT_EQ(p.nodes_before, prev.nodes_after);
+      EXPECT_EQ(p.lits_before, prev.lits_after);
+      EXPECT_EQ(p.depth_before, prev.depth_after);
+    }
+    EXPECT_EQ(ps.check_failures, 0u);
   }
 }
 

@@ -1,11 +1,12 @@
 // Structured observability (util/telemetry.hpp): span nesting and the
 // recorder/absorb merge discipline, the bds-trace/v1 JSONL schema against an
 // embedded golden, byte-identical deterministic output at -j 1 vs -j 4
-// (modulo the exec object), counter unification -- ManagerStats deltas via
-// bdd::telemetry_counters -- and the zero-allocation contract of a
-// disabled (null-recorder) span.
+// (modulo the exec object), the `map` pass's three phase spans, counter
+// unification -- ManagerStats deltas via bdd::telemetry_counters -- and
+// the zero-allocation contract of a disabled (null-recorder) span.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -249,6 +250,7 @@ TEST(TelemetryDeterminism, TraceIsByteIdenticalAcrossJobsModuloExec) {
   for (const char* jobs : {"1", "4"}) {
     opt::ScriptParams params;
     params.emplace_back("jobs", jobs);
+    params.emplace_back("map", "mcnc");
     opt::PassManager pm = opt::PassManager::from_script("bds", params);
     net::Network net = input;
     opt::PipelineOptions popts;
@@ -271,6 +273,66 @@ TEST(TelemetryDeterminism, TraceIsByteIdenticalAcrossJobsModuloExec) {
   // Sanity: the raw traces do differ (the pass args encode -j), so the
   // comparison above is not vacuous.
   EXPECT_NE(traces[0], traces[1]);
+}
+
+// The `map` pass times its three phases as child spans, which together
+// account for at least 95% of the pass body -- the `seconds` counter of
+// the pass span, the time -stats reports. The span's own wall time also
+// holds the manager's statistics walk and span bookkeeping (about 4% of
+// it on this circuit), so against it the bar is 90%. Timing shares are
+// noisy on a loaded machine, so the bars take the best of a few runs; the
+// spans must be there in every run.
+TEST(TelemetrySpans, MapPassSplitsIntoSubjectCoverAndNetlist) {
+  double best_body_share = 0.0;
+  double best_span_share = 0.0;
+  for (int attempt = 0;
+       attempt < 5 && (best_body_share < 0.95 || best_span_share < 0.90);
+       ++attempt) {
+    net::Network net = gen::array_multiplier(8);
+    opt::PassManager pm =
+        opt::PassManager::from_script("bds", {{"map", "mcnc"}});
+    opt::PipelineOptions popts;
+    auto telemetry = std::make_shared<Telemetry>("bds");
+    auto sink = std::make_shared<AggregateSink>();
+    telemetry->add_sink(sink);
+    popts.telemetry = telemetry;
+    pm.run(net, popts);
+    telemetry->finish();
+
+    const SpanEvent* pass = nullptr;
+    for (const SpanEvent& e : sink->events()) {
+      if (e.depth == 1 && e.name.ends_with(":map")) pass = &e;
+    }
+    ASSERT_NE(pass, nullptr);
+    double body = 0.0;
+    for (const auto& [key, value] : pass->exec_counters) {
+      if (key == "seconds") body = value;
+    }
+    ASSERT_GT(body, 0.0);
+    double covered = 0.0;
+    for (const char* phase : {"map:subject", "map:cover", "map:netlist"}) {
+      const SpanEvent* child = nullptr;
+      for (const SpanEvent& e : sink->events()) {
+        if (e.path == pass->path + "/" + phase) child = &e;
+      }
+      ASSERT_NE(child, nullptr) << phase;
+      EXPECT_EQ(child->depth, 2u) << phase;
+      EXPECT_TRUE(child->counters.empty()) << phase << ": timing only";
+      covered += child->seconds;
+    }
+    const std::string profile = sink->format_profile();
+    EXPECT_NE(profile.find("map phases:"), std::string::npos) << profile;
+    EXPECT_NE(profile.find(pass->path + "/map:cover"), std::string::npos)
+        << profile;
+    best_body_share = std::max(best_body_share, covered / body);
+    best_span_share = std::max(best_span_share, covered / pass->seconds);
+  }
+  EXPECT_GE(best_body_share, 0.95)
+      << "the map sub-spans cover at most " << best_body_share
+      << " of the map pass body";
+  EXPECT_GE(best_span_share, 0.90)
+      << "the map sub-spans cover at most " << best_span_share
+      << " of the map pass span";
 }
 
 // ---- Counter unification ----------------------------------------------------
