@@ -352,7 +352,7 @@ class Manager {
 
   /// Rudell sifting over all variables. External `Bdd` handles stay valid
   /// (node identities are preserved or transferred in place).
-  void reorder_sift(double max_growth = 1.2);
+  void reorder_sift();
   /// Swaps the variables at levels `level` and `level + 1`.
   void swap_levels(std::uint32_t level);
   /// Installs an explicit order (permutation of all vars) by bubble swaps.
@@ -457,7 +457,7 @@ class Manager {
 
   // Reordering internals (bdd/reorder.cpp).
   std::uint32_t subtable_live(Var v) const;
-  void sift_var(Var v, double max_growth);
+  void sift_var(Var v);
 
   // Struct-of-arrays node store, indexed by node index. The four permanent
   // arrays total kNodeStoreBytesPerNode (16) bytes per slot; `refs_` adds

@@ -103,10 +103,13 @@ void Manager::swap_levels(std::uint32_t level) {
   var2level_[y] = level;
 }
 
-void Manager::sift_var(Var v, double max_growth) {
+void Manager::sift_var(Var v) {
+  // A variable stops moving in one direction once the manager has grown
+  // past 1.2x its size at the start of this sift.
+  constexpr double kMaxGrowth = 1.2;
   const std::size_t start_size = stats_.live_nodes;
   const std::size_t limit =
-      static_cast<std::size_t>(static_cast<double>(start_size) * max_growth) + 4;
+      static_cast<std::size_t>(static_cast<double>(start_size) * kMaxGrowth) + 4;
   const std::uint32_t n = num_vars();
   const std::uint32_t start_level = var2level_[v];
 
@@ -149,7 +152,7 @@ void Manager::sift_var(Var v, double max_growth) {
   while (var2level_[v] > best_level) swap_levels(var2level_[v] - 1);
 }
 
-void Manager::reorder_sift(double max_growth) {
+void Manager::reorder_sift() {
   ++stats_.reorderings;
   gc();
   const std::uint32_t n = num_vars();
@@ -174,7 +177,7 @@ void Manager::reorder_sift(double max_growth) {
         budget_->check_deadline();
         budget_check_slow();
       }
-      sift_var(v, max_growth);
+      sift_var(v);
       gc();
     }
     const std::size_t after = stats_.live_nodes;

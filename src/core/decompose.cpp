@@ -121,7 +121,7 @@ std::optional<FactId> Decomposer::try_generalized_dominator(
 
   std::size_t examined = 0;
   for (const CutInfo& cut : conjunctive_cuts(cuts)) {
-    if (++examined > opts_.max_cuts) break;
+    if (++examined > kMaxCuts) break;
     // Lemma 1: D from the generalized dominator with free edges -> 1;
     // Q = F minimized with the offset of D as don't care. restrict
     // guarantees Q & D == F & D == F (D >= F by construction).
@@ -137,7 +137,7 @@ std::optional<FactId> Decomposer::try_generalized_dominator(
   }
   examined = 0;
   for (const CutInfo& cut : disjunctive_cuts(cuts)) {
-    if (++examined > opts_.max_cuts) break;
+    if (++examined > kMaxCuts) break;
     // Lemma 2: G from the generalized dominator with free edges -> 0;
     // H = F minimized with the onset of G as don't care.
     const Bdd g =

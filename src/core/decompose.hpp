@@ -36,9 +36,6 @@ struct DecomposeOptions {
   bool use_mux = true;
   bool use_generalized = true;
   bool use_xdom = true;
-  /// Cap on examined representative cuts per function (safety valve; the
-  /// equivalence pruning usually leaves only a handful).
-  std::size_t max_cuts = 64;
 };
 
 struct DecomposeStats {
@@ -69,6 +66,10 @@ class Decomposer {
   const DecomposeStats& stats() const { return stats_; }
 
  private:
+  /// Cap on examined representative cuts per function and cut kind (a
+  /// safety valve; the equivalence pruning usually leaves only a handful).
+  static constexpr std::size_t kMaxCuts = 64;
+
   FactId decompose_regular(const bdd::Bdd& f);
 
   // Implemented in decompose.cpp:

@@ -25,7 +25,7 @@ std::optional<FactId> Decomposer::try_functional_mux(
 
   std::size_t examined = 0;
   for (const CutInfo& cut : mux_cuts(cuts)) {
-    if (++examined > opts_.max_cuts) break;
+    if (++examined > kMaxCuts) break;
     const Edge u = cut.crossing_targets[0];
     const Edge v = cut.crossing_targets[1];
     const Bdd fu = mgr_.wrap(u);

@@ -28,7 +28,7 @@ std::optional<FactId> Decomposer::try_generalized_xdominator(
     if (e == s.root().regular()) continue;
     // Generalized x-dominator: reached in both phases.
     if (s.paths_to(e) == 0 || s.paths_to(!e) == 0) continue;
-    if (++examined > opts_.max_cuts) break;
+    if (++examined > kMaxCuts) break;
     const Bdd g = mgr_.wrap(e);
     const Bdd h = g.xnor(f);  // Theorem 6: H = G xnor F
     const std::size_t cost = g.size() + h.size();

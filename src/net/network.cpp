@@ -106,9 +106,10 @@ std::vector<NodeId> Network::topo_order() const {
   return order;
 }
 
-std::vector<std::vector<NodeId>> Network::fanout_lists() const {
+std::vector<std::vector<NodeId>> Network::fanout_lists(
+    const std::vector<NodeId>& order) const {
   std::vector<std::vector<NodeId>> fanouts(nodes_.size());
-  for (const NodeId id : topo_order()) {
+  for (const NodeId id : order) {
     for (const NodeId fi : nodes_[id].fanins) fanouts[fi].push_back(id);
   }
   return fanouts;

@@ -68,8 +68,11 @@ class Network {
 
   /// Live logic nodes in topological (fanin-before-fanout) order.
   std::vector<NodeId> topo_order() const;
-  /// Fanout adjacency (live logic consumers of each node).
-  std::vector<std::vector<NodeId>> fanout_lists() const;
+  /// Fanout adjacency (live logic consumers of each node, in `order`),
+  /// built from `order`, which must be this network's current
+  /// topo_order(): callers that need both walk the network once.
+  std::vector<std::vector<NodeId>> fanout_lists(
+      const std::vector<NodeId>& order) const;
 
   /// Replaces a node's function/fanins in place.
   void rewrite_node(NodeId id, std::vector<NodeId> fanins, sop::Sop func);

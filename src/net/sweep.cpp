@@ -161,8 +161,8 @@ SweepStats sweep(Network& net) {
   bool changed = true;
   while (changed) {
     changed = false;
-    const auto fanouts = net.fanout_lists();
     const auto order = net.topo_order();
+    auto fanouts = net.fanout_lists(order);
 
     // Which nodes drive primary outputs (those must keep a live driver).
     std::vector<bool> drives_po(net.raw_size(), false);
@@ -215,18 +215,19 @@ SweepStats sweep(Network& net) {
     }
     if (changed) continue;  // re-derive fanouts before duplicate merging
 
-    // Functionally-duplicate removal on canonical local functions. Fanout
-    // lists are maintained incrementally: in topological order, a node's
-    // fanins are already canonical when it is examined.
+    // Functionally-duplicate removal on canonical local functions. The
+    // loop above rewrote no fanin, so `order` and `fanouts` still describe
+    // the network. Fanout lists are maintained incrementally: in
+    // topological order, a node's fanins are already canonical when it is
+    // examined.
     std::map<std::string, NodeId> seen;
-    auto fo = net.fanout_lists();
-    for (const NodeId id : net.topo_order()) {
+    for (const NodeId id : order) {
       const std::string key = canonical_key(net.node(id));
       const auto [it, inserted] = seen.emplace(key, id);
       if (inserted) continue;
       const NodeId rep = it->second;
       // Redirect all consumers of `id` to `rep`.
-      for (const NodeId consumer : fo[id]) {
+      for (const NodeId consumer : fanouts[id]) {
         for (;;) {
           const auto& fi = net.node(consumer).fanins;
           const auto pos_it = std::find(fi.begin(), fi.end(), id);
@@ -235,9 +236,9 @@ SweepStats sweep(Network& net) {
                            static_cast<std::size_t>(pos_it - fi.begin()), rep,
                            false);
         }
-        fo[rep].push_back(consumer);
+        fanouts[rep].push_back(consumer);
       }
-      fo[id].clear();
+      fanouts[id].clear();
       for (std::size_t o = 0; o < net.outputs().size(); ++o) {
         if (net.outputs()[o].second == id) net.retarget_output(o, rep);
       }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <ranges>
@@ -142,36 +141,16 @@ core::FactId fallback_factor_cone(const net::Network& net, BdsFlowState& st,
 class BdsPartitionPass final : public Pass {
  public:
   explicit BdsPartitionPass(const std::vector<std::string>& args) {
-    validate_args("bds_partition", args, 0, {"-t", "-max_bdd", "-passes"},
-                  {});
+    validate_args("bds_partition", args, 0, {"-t"}, {});
     opts_.threshold = parse_int_arg(
         "bds_partition", flag_value("bds_partition", args, "-t",
                                     std::to_string(opts_.threshold)));
-    opts_.max_bdd = parse_size_arg(
-        "bds_partition", flag_value("bds_partition", args, "-max_bdd",
-                                    std::to_string(opts_.max_bdd)));
-    opts_.max_passes = static_cast<unsigned>(parse_size_arg(
-        "bds_partition", flag_value("bds_partition", args, "-passes",
-                                    std::to_string(opts_.max_passes)),
-        std::numeric_limits<unsigned>::max()));
   }
 
   std::string_view name() const override { return "bds_partition"; }
   std::string args() const override {
-    std::string out;
-    const core::EliminateOptions defaults;
-    if (opts_.threshold != defaults.threshold) {
-      out += "-t " + std::to_string(opts_.threshold);
-    }
-    if (opts_.max_bdd != defaults.max_bdd) {
-      if (!out.empty()) out += ' ';
-      out += "-max_bdd " + std::to_string(opts_.max_bdd);
-    }
-    if (opts_.max_passes != defaults.max_passes) {
-      if (!out.empty()) out += ' ';
-      out += "-passes " + std::to_string(opts_.max_passes);
-    }
-    return out;
+    if (opts_.threshold == core::EliminateOptions{}.threshold) return {};
+    return "-t " + std::to_string(opts_.threshold);
   }
   bool modifies_network() const override { return false; }
 
@@ -233,7 +212,7 @@ class BdsDecomposePass final : public Pass {
 
   explicit BdsDecomposePass(const std::vector<std::string>& args) {
     validate_args(
-        "bds_decompose", args, 0, {"-max_cuts", "-j"},
+        "bds_decompose", args, 0, {"-j"},
         {"-noreorder", "-nodom", "-nomux", "-nogen", "-noxdom", "-constrain"});
     reorder_ = !has_flag(args, "-noreorder");
     opts_.use_simple_dominators = !has_flag(args, "-nodom");
@@ -243,9 +222,6 @@ class BdsDecomposePass final : public Pass {
     if (has_flag(args, "-constrain")) {
       opts_.dc_minimizer = core::DcMinimizer::kConstrain;
     }
-    opts_.max_cuts = parse_size_arg(
-        "bds_decompose", flag_value("bds_decompose", args, "-max_cuts",
-                                    std::to_string(opts_.max_cuts)));
     const std::size_t jobs = parse_size_arg(
         "bds_decompose",
         flag_value("bds_decompose", args, "-j", std::to_string(jobs_)));
@@ -275,14 +251,9 @@ class BdsDecomposePass final : public Pass {
     if (opts_.dc_minimizer == core::DcMinimizer::kConstrain) {
       flag("-constrain");
     }
-    const core::DecomposeOptions defaults;
-    if (opts_.max_cuts != defaults.max_cuts) {
-      if (!out.empty()) out += ' ';
-      out += "-max_cuts " + std::to_string(opts_.max_cuts);
-    }
     if (jobs_ != 1) {
-      if (!out.empty()) out += ' ';
-      out += "-j " + std::to_string(jobs_);
+      flag("-j");
+      out += ' ' + std::to_string(jobs_);
     }
     return out;
   }
@@ -800,17 +771,17 @@ class BdsEmitPass final : public Pass {
 void register_bds_passes(PassRegistry& registry) {
   registry.add(
       "bds_partition",
-      "bds_partition [-t N] [-max_bdd N] [-passes N]: BDD-cost eliminate; "
-      "builds the supernode partition (blackboard)",
+      "bds_partition [-t N]: BDD-cost eliminate; builds the supernode "
+      "partition (blackboard)",
       [](const std::vector<std::string>& args) {
         return std::make_unique<BdsPartitionPass>(args);
       });
   registry.add(
       "bds_decompose",
       "bds_decompose [-noreorder] [-nodom] [-nomux] [-nogen] [-noxdom] "
-      "[-constrain] [-max_cuts N] [-j N]: per-supernode BDD decomposition "
-      "into factoring trees (a staged for-each over the cones on N "
-      "executors; -noreorder skips sifting)",
+      "[-constrain] [-j N]: per-supernode BDD decomposition into "
+      "factoring trees (a staged for-each over the cones on N executors; "
+      "-noreorder skips sifting)",
       [](const std::vector<std::string>& args) {
         return std::make_unique<BdsDecomposePass>(args);
       });

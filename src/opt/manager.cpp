@@ -12,6 +12,14 @@
 
 namespace bds::opt {
 
+namespace {
+
+/// Live-node budget of a checkpoint CEC before it falls back to
+/// simulation.
+constexpr std::size_t kCheckMaxLiveNodes = 2'000'000;
+
+}  // namespace
+
 double PipelineStats::counter(std::string_view key) const {
   double total = 0.0;
   for (const PassStats& p : passes) total += p.counter(key);
@@ -122,28 +130,26 @@ PipelineStats PassManager::run(net::Network& net,
   stats.passes.reserve(passes_.size());
   Timer t_total;
 
-  // Resolve the run's budget: an explicit one wins; otherwise assemble one
-  // from explicit ceilings or the BDS_NODE_LIMIT environment variable (the
-  // CI safety net), in that order.
-  util::BudgetPtr budget = options.budget;
-  // The deadline (default-constructed time_point = none) becomes a
-  // relative remaining-seconds figure here; a deadline already in the past
-  // yields remaining <= 0, which arms a budget that trips at its first
-  // check -- the "reject expired work before building a node" contract.
-  const bool deadline_armed = options.deadline.time_since_epoch().count() != 0;
-  if (!budget) {
-    std::size_t node_limit = options.node_limit;
-    if (node_limit == 0) {
-      if (const char* env = std::getenv("BDS_NODE_LIMIT")) {
-        node_limit = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-      }
-    }
-    const std::size_t byte_limit = options.byte_limit;
-    if (node_limit != 0 || byte_limit != 0 || deadline_armed) {
-      budget = std::make_shared<util::ResourceBudget>(node_limit, byte_limit);
+  // Assemble the run's budget from the explicit ceilings, with the
+  // BDS_NODE_LIMIT environment variable (the CI safety net) standing in
+  // for an unset node ceiling. The deadline (default-constructed
+  // time_point = none) becomes a relative remaining-seconds figure here; a
+  // deadline already in the past yields remaining <= 0, which arms a
+  // budget that trips at its first check -- the "reject expired work
+  // before building a node" contract.
+  std::size_t node_limit = options.node_limit;
+  if (node_limit == 0) {
+    if (const char* env = std::getenv("BDS_NODE_LIMIT")) {
+      node_limit = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
     }
   }
-  if (budget && deadline_armed && !budget->has_deadline()) {
+  const bool deadline_armed = options.deadline.time_since_epoch().count() != 0;
+  util::BudgetPtr budget;
+  if (node_limit != 0 || options.byte_limit != 0 || deadline_armed) {
+    budget =
+        std::make_shared<util::ResourceBudget>(node_limit, options.byte_limit);
+  }
+  if (deadline_armed) {
     budget->set_deadline_in(std::chrono::duration<double>(
                                 options.deadline -
                                 std::chrono::steady_clock::now())
@@ -203,7 +209,7 @@ PipelineStats PassManager::run(net::Network& net,
 
     if (checkpoint) {
       const verify::CecResult cec = verify::check_equivalence(
-          before_copy, net, options.check_max_live_nodes, budget);
+          before_copy, net, kCheckMaxLiveNodes, budget);
       switch (cec.status) {
         case verify::CecStatus::kEquivalent:
           ps.check = PassStats::Check::kEquivalent;

@@ -19,15 +19,13 @@ namespace bds::opt {
 struct PipelineOptions {
   /// After every network-modifying pass, prove the pass output equivalent
   /// to the pass input (global-BDD CEC with a random-simulation fallback).
+  /// The checkpoint CEC falls back to simulation past 2,000,000 live
+  /// nodes.
   bool check = false;
-  /// Node budget of the checkpoint CEC before it falls back to simulation.
-  std::size_t check_max_live_nodes = 2'000'000;
-  /// The resource budget governing the whole run (installed in the
-  /// PassContext; passes put it on every BDD manager they create). When
-  /// null, one is assembled from the ceilings below or, when no node
-  /// ceiling is set, the BDS_NODE_LIMIT environment variable -- 0 meaning
-  /// "unlimited".
-  util::BudgetPtr budget;
+  /// Ceilings of the resource budget governing the whole run (installed
+  /// in the PassContext; passes put it on every BDD manager they create).
+  /// With no node ceiling set, the BDS_NODE_LIMIT environment variable
+  /// supplies one; 0 means "unlimited".
   std::size_t node_limit = 0;
   std::size_t byte_limit = 0;
   /// Absolute wall-clock deadline of the run (default-constructed = none),

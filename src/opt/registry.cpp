@@ -21,9 +21,7 @@ PassRegistry& PassRegistry::instance() {
     r->add_script("bds",
                   "sweep; bds_partition; bds_decompose; bds_sharing; "
                   "bds_balance; bds_emit; sweep",
-                  {{"jobs", "bds_decompose", "-j"},
-                   {"max_cuts", "bds_decompose", "-max_cuts"},
-                   {"threshold", "bds_partition", "-t"}});
+                  {{"jobs", "bds_decompose", "-j"}});
     r->add_script("rugged",
                   "sweep; eliminate -1; simplify; sweep; eliminate 5; gkx; "
                   "resub; gkx; sweep; eliminate -1; simplify; sweep; "

@@ -49,7 +49,7 @@ ResultCache::Stats ResultCache::stats() const {
 std::uint64_t decompose_cache_key(std::uint64_t function_hash,
                                   const core::DecomposeOptions& opts,
                                   bool reorder, std::uint32_t num_inputs) {
-  // One option bit per flag, then FNV-fold the fingerprint words into the
+  // One option bit per flag, then FNV-fold the fingerprint word into the
   // function digest so two option sets never alias onto one key.
   std::uint64_t fp = 0;
   fp |= static_cast<std::uint64_t>(reorder) << 0;
@@ -60,14 +60,10 @@ std::uint64_t decompose_cache_key(std::uint64_t function_hash,
   fp |= static_cast<std::uint64_t>(opts.dc_minimizer) << 5;
   fp |= static_cast<std::uint64_t>(num_inputs) << 8;
   std::uint64_t h = function_hash;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  };
-  fold(fp);
-  fold(static_cast<std::uint64_t>(opts.max_cuts));
+  for (int i = 0; i < 8; ++i) {
+    h ^= (fp >> (i * 8)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
   return h;
 }
 

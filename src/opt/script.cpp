@@ -67,17 +67,15 @@ int parse_int_arg(std::string_view pass, std::string_view value) {
   return result;
 }
 
-std::size_t parse_size_arg(std::string_view pass, std::string_view value,
-                           std::size_t max) {
+std::size_t parse_size_arg(std::string_view pass, std::string_view value) {
   // Plain decimal digits only: from_chars takes no sign or blank for an
   // unsigned type.
   std::size_t result = 0;
   const char* const last = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), last, result);
-  if (ec != std::errc{} || ptr != last || result > max) {
-    throw ScriptError(std::string(pass) + ": expected a count in 0.." +
-                      std::to_string(max) + ", got '" + std::string(value) +
-                      "'");
+  if (ec != std::errc{} || ptr != last) {
+    throw ScriptError(std::string(pass) + ": expected a count, got '" +
+                      std::string(value) + "'");
   }
   return result;
 }

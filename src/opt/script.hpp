@@ -4,12 +4,11 @@
 // line. Example:
 //
 //   sweep; eliminate -1; simplify
-//   gkx -passes 4   # fast-extract
+//   gkx   # fast-extract
 //   resub; full_simplify
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -38,12 +37,11 @@ std::vector<ScriptCommand> parse_script(std::string_view text);
 
 /// Parses a full-string integer; ScriptError mentioning `pass` otherwise.
 int parse_int_arg(std::string_view pass, std::string_view value);
-/// Parses a full-string count in 0..max: decimal digits only, no sign or
-/// blank.
-std::size_t parse_size_arg(std::string_view pass, std::string_view value,
-                           std::size_t max = SIZE_MAX);
+/// Parses a full-string count that fits std::size_t: decimal digits only,
+/// no sign or blank.
+std::size_t parse_size_arg(std::string_view pass, std::string_view value);
 
-/// Returns the value following flag `flag` in `args` (e.g. "-passes" "4"),
+/// Returns the value following flag `flag` in `args` (e.g. "-j" "4"),
 /// or `fallback` when absent. Throws when the flag is last with no value.
 std::string flag_value(std::string_view pass,
                        const std::vector<std::string>& args,

@@ -103,13 +103,8 @@ struct KernelPair {
   SparseSop kernel;  ///< cube-free quotient f / cokernel
 };
 
-/// All kernels of f (the cover itself included when cube-free), bounded by
-/// `max_kernels` as a safety valve.
-std::vector<KernelPair> all_kernels(const SparseSop& f,
-                                    std::size_t max_kernels = 256);
-
-/// Level-0 kernels only (kernels having no kernels but themselves).
-std::vector<KernelPair> level0_kernels(const SparseSop& f,
-                                       std::size_t max_kernels = 256);
+/// All kernels of f (the cover itself included when cube-free), under a
+/// fixed cap on their number as a safety valve.
+std::vector<KernelPair> all_kernels(const SparseSop& f);
 
 }  // namespace bds::sis

@@ -111,7 +111,7 @@ class Builder {
     const SparseSop* best_kernel = nullptr;
     long long best_saving = 0;
     std::pair<SparseSop, SparseSop> best_qr;
-    const auto kernels = all_kernels(f, 64);
+    const auto kernels = all_kernels(f);
     for (const KernelPair& kp : kernels) {
       if (kp.kernel.cubes.size() < 2 ||
           kp.kernel.cubes.size() >= f.cubes.size()) {

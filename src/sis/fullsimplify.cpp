@@ -18,6 +18,12 @@ using net::NodeId;
 
 namespace {
 
+/// Nodes with more fanins than this are skipped; the y-variables of the
+/// fanin space are the first kMaxFanins variables of the manager.
+constexpr unsigned kMaxFanins = 10;
+/// Skip a node when its don't-care set needs more cubes than this.
+constexpr std::size_t kMaxDcCubes = 64;
+
 /// Enumerates the cubes (1-paths) of a BDD whose support lies in the first
 /// `width` variables. Returns false if more than `max_cubes` paths exist.
 bool bdd_to_cubes(const Manager& mgr, Edge root, unsigned width,
@@ -64,7 +70,7 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
     }
   } reporter{mgr, peak_bdd_nodes};
   // y-variables for the fanin space sit on top of the order.
-  for (unsigned i = 0; i < opts.max_fanins; ++i) mgr.new_var();
+  for (unsigned i = 0; i < kMaxFanins; ++i) mgr.new_var();
   std::vector<bdd::Var> pi_var(net.raw_size(), 0);
   for (const NodeId pi : net.inputs()) pi_var[pi] = mgr.new_var();
 
@@ -89,6 +95,9 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
       mgr.reorder_sift();
       reordered = true;
     }
+    // The cap counts what a collection leaves: the intermediate results
+    // of the covers built so far are garbage, often most of the count.
+    if (mgr.live_nodes() > opts.max_manager_nodes) mgr.gc();
     if (mgr.live_nodes() > opts.max_manager_nodes) {
       // One rescue sift; a second crossing gives up. Sifting at every
       // crossing has no time bound: on carry chains the count keeps
@@ -110,7 +119,7 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
   for (const NodeId id : order) {
     const net::Node& n = net.node(id);
     const unsigned k = static_cast<unsigned>(n.fanins.size());
-    if (k < 2 || k > opts.max_fanins) continue;
+    if (k < 2 || k > kMaxFanins) continue;
     if (n.func.cubes().empty() || n.func.has_full_cube()) continue;
 
     // Characteristic function of reachable fanin combinations:
@@ -122,13 +131,13 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
     // Image over y: quantify away the primary-input variables.
     bool aborted = false;
     for (const bdd::Var v : chi.support()) {
-      if (v < opts.max_fanins) continue;
+      if (v < kMaxFanins) continue;
       chi = chi.exists(v);
+      if (mgr.live_nodes() > opts.max_manager_nodes) mgr.gc();
       if (mgr.live_nodes() > opts.max_manager_nodes) {
         aborted = true;
         break;
       }
-
     }
     if (aborted) {
       mgr.gc();
@@ -138,7 +147,7 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
     if (dc_bdd.is_zero()) continue;
 
     sop::Sop dc(k);
-    if (!bdd_to_cubes(mgr, dc_bdd.edge(), k, opts.max_dc_cubes, dc)) continue;
+    if (!bdd_to_cubes(mgr, dc_bdd.edge(), k, kMaxDcCubes, dc)) continue;
     dc.minimize_scc();
 
     const sop::Sop minimized = espresso_lite(n.func, dc);

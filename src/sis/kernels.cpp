@@ -131,10 +131,12 @@ std::map<Lit, unsigned> literal_counts(const SparseSop& f) {
   return counts;
 }
 
+/// Kernel cap per cover: a safety valve on covers with many literals.
+constexpr std::size_t kMaxKernels = 64;
+
 void kernels_rec(const SparseSop& f, Lit min_lit,
-                 std::vector<KernelPair>& out, const SparseCube& cokernel,
-                 std::size_t max_kernels) {
-  if (out.size() >= max_kernels) return;
+                 std::vector<KernelPair>& out, const SparseCube& cokernel) {
+  if (out.size() >= kMaxKernels) return;
   const auto counts = literal_counts(f);
   for (const auto& [l, count] : counts) {
     if (count < 2 || l < min_lit) continue;
@@ -160,8 +162,8 @@ void kernels_rec(const SparseSop& f, Lit min_lit,
     sub.normalize();
     SparseCube branch_cokernel;
     cube_product(cokernel, full_cc, branch_cokernel);
-    kernels_rec(sub, l + 1, out, branch_cokernel, max_kernels);
-    if (out.size() < max_kernels) {
+    kernels_rec(sub, l + 1, out, branch_cokernel);
+    if (out.size() < kMaxKernels) {
       out.push_back({branch_cokernel, std::move(sub)});
     }
   }
@@ -169,8 +171,7 @@ void kernels_rec(const SparseSop& f, Lit min_lit,
 
 }  // namespace
 
-std::vector<KernelPair> all_kernels(const SparseSop& f,
-                                    std::size_t max_kernels) {
+std::vector<KernelPair> all_kernels(const SparseSop& f) {
   std::vector<KernelPair> out;
   SparseSop g = f;
   g.normalize();
@@ -179,26 +180,8 @@ std::vector<KernelPair> all_kernels(const SparseSop& f,
     for (SparseCube& c : g.cubes) c = cube_divide(c, cc);
     g.normalize();
   }
-  kernels_rec(g, 0, out, cc, max_kernels);
+  kernels_rec(g, 0, out, cc);
   if (g.cubes.size() > 1) out.push_back({cc, std::move(g)});
-  return out;
-}
-
-std::vector<KernelPair> level0_kernels(const SparseSop& f,
-                                       std::size_t max_kernels) {
-  std::vector<KernelPair> all = all_kernels(f, max_kernels);
-  std::vector<KernelPair> out;
-  for (KernelPair& kp : all) {
-    const auto counts = literal_counts(kp.kernel);
-    bool level0 = true;
-    for (const auto& [l, count] : counts) {
-      if (count >= 2) {
-        level0 = false;
-        break;
-      }
-    }
-    if (level0) out.push_back(std::move(kp));
-  }
   return out;
 }
 

@@ -36,6 +36,13 @@ void set_from_sparse(Network& net, NodeId id, const SparseSop& f) {
 
 namespace {
 
+/// Rounds of `eliminate_literals`.
+constexpr unsigned kEliminatePasses = 4;
+/// Never let a substituted cover exceed this many cubes.
+constexpr std::size_t kMaxNodeCubes = 5000;
+/// Rounds of `extract_divisors` (each may introduce many divisors).
+constexpr unsigned kExtractPasses = 12;
+
 /// A node's cover over the network-wide signal space.
 SparseSop sparse_cover(const Network& net, NodeId id) {
   const net::Node& n = net.node(id);
@@ -76,19 +83,19 @@ bool substitute_signal(SparseSop& f, std::uint32_t src,
 
 }  // namespace
 
-std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
+std::size_t eliminate_literals(Network& net, int threshold) {
   std::size_t collapsed = 0;
   std::vector<bool> is_po(net.raw_size(), false);
   for (const auto& [name, driver] : net.outputs()) {
     if (driver != net::kNoNode) is_po[driver] = true;
   }
 
-  for (unsigned pass = 0; pass < opts.eliminate_passes; ++pass) {
+  for (unsigned pass = 0; pass < kEliminatePasses; ++pass) {
     bool changed = false;
     // Superset fanout lists, maintained as substitutions add fanin edges;
     // actual consumers are re-derived from current fanins below.
-    auto fanouts = net.fanout_lists();
     const auto order = net.topo_order();
+    auto fanouts = net.fanout_lists(order);
     for (const NodeId id : order) {
       if (is_po[id] || fanouts[id].empty()) continue;
       // Recompute current consumers (fanout list may be stale after
@@ -128,7 +135,7 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
       for (const NodeId m : consumers) {
         SparseSop fm = sparse_cover(net, m);
         const std::size_t before = fm.literal_count();
-        if (!substitute_signal(fm, id, on, off, opts.max_node_cubes)) {
+        if (!substitute_signal(fm, id, on, off, kMaxNodeCubes)) {
           feasible = false;
           break;
         }
@@ -136,7 +143,7 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
                  static_cast<long long>(before);
         replacement.emplace_back(m, std::move(fm));
       }
-      if (!feasible || delta > opts.eliminate_threshold) continue;
+      if (!feasible || delta > threshold) continue;
 
       for (auto& [m, fm] : replacement) {
         set_from_sparse(net, m, fm);
@@ -161,9 +168,9 @@ std::size_t eliminate_literals(Network& net, const SisOptions& opts) {
   return collapsed;
 }
 
-std::size_t extract_divisors(Network& net, const SisOptions& opts) {
+std::size_t extract_divisors(Network& net) {
   std::size_t created = 0;
-  for (unsigned pass = 0; pass < opts.extract_passes; ++pass) {
+  for (unsigned pass = 0; pass < kExtractPasses; ++pass) {
     struct Candidate {
       SparseSop divisor;
       std::vector<NodeId> users;
@@ -176,7 +183,7 @@ std::size_t extract_divisors(Network& net, const SisOptions& opts) {
       const SparseSop f = sparse_cover(net, id);
       if (f.cubes.size() < 2) continue;
       // Kernel divisors.
-      for (KernelPair& kp : all_kernels(f, opts.max_kernels)) {
+      for (KernelPair& kp : all_kernels(f)) {
         if (kp.kernel.cubes.size() < 2) continue;
         Candidate& c = candidates[kp.kernel.key()];
         if (c.divisor.cubes.empty()) c.divisor = kp.kernel;
@@ -293,7 +300,7 @@ bool depends_on(const Network& net, NodeId id, NodeId maybe_ancestor) {
 
 }  // namespace
 
-std::size_t resubstitute(Network& net, const SisOptions& opts) {
+std::size_t resubstitute(Network& net) {
   std::size_t substituted = 0;
   const auto order = net.topo_order();
 
@@ -347,7 +354,6 @@ std::size_t resubstitute(Network& net, const SisOptions& opts) {
       break;  // one substitution per node per call
     }
   }
-  (void)opts;
   return substituted;
 }
 

@@ -66,10 +66,6 @@ class ResourceBudget {
     // steady clock that started in the past.
     deadline_ns_.store(ns == 0 ? 1 : ns, std::memory_order_relaxed);
   }
-  /// True while a deadline is armed (tripped or not).
-  bool has_deadline() const {
-    return deadline_ns_.load(std::memory_order_relaxed) != 0;
-  }
   /// True once an armed deadline has passed (non-throwing poll).
   bool expired() const {
     const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);

@@ -125,7 +125,7 @@ TEST(Network, FanoutListsAreConsistent) {
   const NodeId g1 = net.add_node("g1", {a, b}, and2());
   const NodeId g2 = net.add_node("g2", {g1, a}, or2());
   net.set_output("o", g2);
-  const auto fo = net.fanout_lists();
+  const auto fo = net.fanout_lists(net.topo_order());
   EXPECT_EQ(fo[a], (std::vector<NodeId>{g1, g2}));
   EXPECT_EQ(fo[g1], (std::vector<NodeId>{g2}));
   EXPECT_TRUE(fo[g2].empty());

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -20,7 +22,6 @@
 #include "opt/manager.hpp"
 #include "opt/manager_pool.hpp"
 #include "opt/result_cache.hpp"
-#include "util/budget.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/cec.hpp"
@@ -231,13 +232,24 @@ std::uint64_t compact_key(const BdsFlowState& st, std::size_t s) {
                              core::DecomposeOptions{}, true, k);
 }
 
-/// Options of a run with no ceiling at all: an explicit unlimited budget,
-/// so the BDS_NODE_LIMIT safety net does not apply either.
-PipelineOptions unbudgeted() {
-  PipelineOptions popts;
-  popts.budget = std::make_shared<util::ResourceBudget>();
-  return popts;
-}
+/// Unsets BDS_NODE_LIMIT for its lifetime and restores it after, so a run
+/// that sets no ceiling has none at all (the variable is the suite's
+/// safety net, and CI runs the suite under it).
+class NoEnvNodeLimit {
+ public:
+  NoEnvNodeLimit() {
+    if (const char* v = std::getenv("BDS_NODE_LIMIT")) saved_ = v;
+    unsetenv("BDS_NODE_LIMIT");
+  }
+  ~NoEnvNodeLimit() {
+    if (saved_) setenv("BDS_NODE_LIMIT", saved_->c_str(), 1);
+  }
+  NoEnvNodeLimit(const NoEnvNodeLimit&) = delete;
+  NoEnvNodeLimit& operator=(const NoEnvNodeLimit&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 TEST(ConeMemo, PartitionKeyEqualsTheCompactManagerKey) {
   // The key is computed before any lease, in the partition manager; it has
@@ -247,10 +259,10 @@ TEST(ConeMemo, PartitionKeyEqualsTheCompactManagerKey) {
   circuits.push_back(gen::array_multiplier(16));
   circuits.push_back(gen::hamming_corrector(6));
   circuits.push_back(gen::random_multilevel(64, 40, 60, 32, 7));
+  const NoEnvNodeLimit unlimited;
   for (net::Network& net : circuits) {
     PassContext ctx;
-    PassManager::from_script("sweep; bds_partition")
-        .run(net, unbudgeted(), ctx);
+    PassManager::from_script("sweep; bds_partition").run(net, {}, ctx);
     const BdsFlowState& st = ctx.state<BdsFlowState>();
     ASSERT_FALSE(st.part.degraded) << net.name();
     std::unordered_set<std::uint64_t> distinct;
@@ -280,13 +292,12 @@ MemoRun run_memo(const net::Network& input, unsigned jobs,
                  std::size_t node_limit, bool cones_only) {
   MemoRun r;
   net::Network net = input;
-  PipelineOptions popts = unbudgeted();
-  if (node_limit != 0) {
-    popts.budget = std::make_shared<util::ResourceBudget>(node_limit, 0);
-  }
+  const NoEnvNodeLimit unlimited;
+  PipelineOptions popts;
+  popts.node_limit = node_limit;
   PassContext ctx;
   PassManager::from_script("sweep; bds_partition")
-      .run(net, cones_only ? unbudgeted() : popts, ctx);
+      .run(net, cones_only ? PipelineOptions{} : popts, ctx);
   r.supernodes = ctx.state<BdsFlowState>().part.supernodes.size();
   popts.telemetry = std::make_shared<util::Telemetry>("memo");
   auto sink = std::make_shared<util::AggregateSink>();

@@ -83,19 +83,6 @@ TEST(SparseAlgebra, CubeFreeCoverIsItsOwnKernel) {
   EXPECT_TRUE(self);
 }
 
-TEST(SparseAlgebra, Level0KernelsHaveNoRepeatedLiteral) {
-  const Lit f_ = 10;
-  SparseSop F{{cube({a, d, f_}), cube({a, e, f_}), cube({b, d, f_}),
-               cube({b, e, f_})}};
-  for (const KernelPair& kp : level0_kernels(F)) {
-    std::map<Lit, int> counts;
-    for (const SparseCube& cc : kp.kernel.cubes) {
-      for (const Lit l : cc) ++counts[l];
-    }
-    for (const auto& [l, cnt] : counts) EXPECT_LT(cnt, 2);
-  }
-}
-
 // ---- factoring -----------------------------------------------------------------
 
 bool eval_sop(const SparseSop& f, const std::vector<bool>& sig) {
