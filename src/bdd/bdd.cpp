@@ -1,6 +1,6 @@
 // Manager core: struct-of-arrays node store, reset, mask-based unique
-// subtables, reference counting, GC, structural queries, and inter-manager
-// transfer ("BDD mapping").
+// subtables, reference counting, GC, structural queries, and cone images
+// (record/replay, the "BDD mapping" between managers).
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -170,7 +170,6 @@ void Manager::reset(std::size_t cache_entries) {
   shrink(visits_);
   shrink(visit_stack_);
   shrink(var_visit_);
-  shrink(scratch_edge_);
   shrink(scratch_num_);
   shrink(node_scratch_);
   // Re-seed the pinned terminal, exactly as the constructor does.
@@ -671,36 +670,27 @@ bool Manager::eval(Edge e, const std::vector<bool>& assignment) const {
   return !phase;
 }
 
-// ----- transfer ("BDD mapping") ------------------------------------------------
+// ----- cone images ("BDD mapping") ----------------------------------------------
 
-namespace {
-// Post-order DFS marker: node indices occupy at most 31 bits (a Lit packs
-// index << 1 | complement in 32), so the stack reuses the top bit to tag
-// "children done, compute this node" entries.
-constexpr std::uint32_t kComputeBit = 0x80000000u;
-}  // namespace
-
-Edge Manager::transfer_to(Manager& dst, Edge e,
-                          const std::vector<Var>& var_map) const {
-  assert(&dst != this && "transfer_to needs a distinct destination manager");
-  if (e.is_constant()) return e;
-  // Stamped post-order with the per-node memo in scratch_edge_ (this-node
-  // -> dst regular edge); no recursion, so arbitrarily deep chains
-  // transfer. Discovering a node stamps it and pushes a marked copy below
-  // its (unstamped) children, so each node is popped at most twice -- once
-  // to expand, once to compute. A previously-stamped child is always
-  // computed before any later parent's marker pops: levels strictly
-  // decrease along edges, so a stamped child's own marker can never sit
-  // below a parent discovered later. No GC can run in dst
-  // because only raw operations are used here. All node identity here is
-  // index-based: the memo is indexed by this manager's node index, and dst
-  // literals are compared as values, never as addresses.
+void Manager::record(Edge e, std::span<const Var> relabel,
+                     ConeImage& out) const {
+  // Stamped post-order DFS, no recursion, so arbitrarily deep chains
+  // record. Discovering a node stamps it and pushes a marked copy below its
+  // (unstamped) children, so each node is popped at most twice -- once to
+  // expand, once to number. A previously-stamped child is always numbered
+  // before any later parent's marker pops: levels strictly decrease along
+  // edges, so a stamped child's own marker can never sit below a parent
+  // discovered later. The top bit of a stack entry tags "children done,
+  // number this node" (node indices occupy at most 31 bits).
+  constexpr std::uint32_t kComputeBit = 0x80000000u;
+  out.nodes.clear();
   const std::uint32_t epoch = begin_visit();
-  scratch_edge_.resize(vars_.size());
+  scratch_num_.resize(vars_.size());
   std::uint32_t* visits = visits_.data();
+  std::uint32_t* num = scratch_num_.data();
   visits[0] = epoch;
-  scratch_edge_[0] = Edge::one();
-  const std::uint32_t root = e.regular().node();
+  num[0] = 0;
+  const std::uint32_t root = e.node();
   std::vector<std::uint32_t>& stack = visit_stack_;
   stack.clear();
   if (visits[root] != epoch) stack.push_back(root);
@@ -708,27 +698,41 @@ Edge Manager::transfer_to(Manager& dst, Edge e,
     const std::uint32_t entry = stack.back();
     stack.pop_back();
     const std::uint32_t idx = entry & ~kComputeBit;
+    const Edge hi = thens_[idx];
+    const Edge lo = elses_[idx];
     if ((entry & kComputeBit) != 0) {
-      const Edge nhi = thens_[idx];
-      const Edge nlo = elses_[idx];
-      const Edge hi = scratch_edge_[nhi.node()] ^ nhi.complemented();
-      const Edge lo = scratch_edge_[nlo.node()] ^ nlo.complemented();
-      assert(vars_[idx] < var_map.size());
-      // The map may reorder variables relative to dst's order, so rebuild
-      // through ITE (Shannon expansion) rather than raw mk.
-      const Edge v = dst.mk(var_map[vars_[idx]], Edge::one(), Edge::zero());
-      scratch_edge_[idx] = dst.ite(v, hi, lo);
+      const Var v = vars_[idx];
+      out.nodes.push_back(
+          {relabel.empty() ? v : relabel[v],
+           Edge(num[hi.node()], hi.complemented()).bits(),
+           Edge(num[lo.node()], lo.complemented()).bits()});
+      num[idx] = static_cast<std::uint32_t>(out.nodes.size());
       continue;
     }
-    if (visits[idx] == epoch) continue;
+    if (visits[idx] == epoch) continue;  // discovered via another path
     visits[idx] = epoch;
     stack.push_back(idx | kComputeBit);
-    const std::uint32_t hi = thens_[idx].node();
-    const std::uint32_t lo = elses_[idx].node();
-    if (visits[hi] != epoch) stack.push_back(hi);
-    if (visits[lo] != epoch) stack.push_back(lo);
+    if (visits[hi.node()] != epoch) stack.push_back(hi.node());
+    if (visits[lo.node()] != epoch) stack.push_back(lo.node());
   }
-  return scratch_edge_[root] ^ e.complemented();
+  out.root = Edge(num[root], e.complemented()).bits();
+}
+
+Edge Manager::replay(const ConeImage& image) {
+  // built[i] is the regular edge of image node i (0 = the terminal).
+  std::vector<Edge> built(image.nodes.size() + 1);
+  built[0] = Edge::one();
+  const auto resolve = [&built](Lit l) {
+    const Edge e = Edge::from_bits(l);
+    return built[e.node()] ^ e.complemented();
+  };
+  for (std::size_t i = 0; i < image.nodes.size(); ++i) {
+    const ConeImage::Node& n = image.nodes[i];
+    assert(n.var < num_vars());
+    built[i + 1] = ite(mk(n.var, Edge::one(), Edge::zero()), resolve(n.hi),
+                       resolve(n.lo));
+  }
+  return resolve(image.root);
 }
 
 // ----- consistency check --------------------------------------------------------

@@ -44,6 +44,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,19 @@ namespace detail {
 [[noreturn]] void invalid_argument(const char* op, const char* what);
 }  // namespace detail
 
+/// A cone recorded by Manager::record, independent of any manager. Node i
+/// has post-order number i + 1 (the terminal is 0); `hi`, `lo` and `root`
+/// are Lits over those numbers, `(number << 1) | complement`.
+struct ConeImage {
+  struct Node {
+    Var var = 0;  ///< the node's variable, relabelled
+    Lit hi = 0;
+    Lit lo = 0;
+  };
+  std::vector<Node> nodes;  ///< children before parents
+  Lit root = 0;
+};
+
 /// The BDD manager: owns all nodes, tables and the variable order.
 class Manager {
  public:
@@ -292,16 +306,6 @@ class Manager {
   [[nodiscard]] std::size_t size(const std::vector<Edge>& roots) const;
   /// Set of variables the function depends on.
   [[nodiscard]] std::vector<Var> support(Edge e) const;
-  /// Numbers the internal nodes reachable from `e` 1, 2, ... in the order
-  /// the stamped post-order walk of transfer_to completes them (children
-  /// before parents; the terminal is 0) and calls
-  /// `fn(node, hi_number, lo_number)` as each one completes. Returns the
-  /// number of e's node. The numbering is a function of the DAG's shape
-  /// alone, not of where the arena placed its nodes, and no per-call
-  /// container is allocated. `fn` must not start another structural query
-  /// on this manager.
-  template <class Fn>
-  std::uint32_t number_post_order(Edge e, Fn&& fn) const;
   /// Evaluates the function under a full assignment (indexed by Var).
   [[nodiscard]] bool eval(Edge e, const std::vector<bool>& assignment) const;
 
@@ -358,11 +362,22 @@ class Manager {
   /// Installs an explicit order (permutation of all vars) by bubble swaps.
   void set_order(const std::vector<Var>& order);
 
-  // ----- transfer between managers ("BDD mapping", Section IV-B) ------------
+  // ----- cone images ("BDD mapping", Section IV-B) --------------------------
 
-  /// Rebuilds `e` (a function of this manager) inside `dst`, renaming
-  /// variables through `var_map` (indexed by this manager's Var).
-  Edge transfer_to(Manager& dst, Edge e, const std::vector<Var>& var_map) const;
+  /// Records the cone of `e` into `out`: its internal nodes in the order a
+  /// stamped post-order walk completes them (children before parents, the
+  /// hi child pushed before the lo child), each variable renamed through
+  /// `relabel` (indexed by this manager's Var; empty keeps each variable).
+  /// The image depends on the DAG's shape alone, not on where the arena
+  /// placed its nodes, and it refers to nothing in this manager once
+  /// recorded.
+  void record(Edge e, std::span<const Var> relabel, ConeImage& out) const;
+  /// Rebuilds a recorded cone in this manager, node by node in the image's
+  /// order, through ITE (the relabelling may reorder variables relative to
+  /// this manager's order). Returns the cone's root. Raw operations only:
+  /// no garbage collection runs, but the budget may throw at its safe
+  /// points.
+  Edge replay(const ConeImage& image);
 
   // ----- diagnostics ---------------------------------------------------------
 
@@ -500,47 +515,10 @@ class Manager {
   mutable std::vector<std::uint32_t> visits_;      ///< per-node epoch stamps
   mutable std::vector<std::uint32_t> visit_stack_;
   mutable std::vector<std::uint32_t> var_visit_;   ///< per-var epoch stamps
-  mutable std::vector<Edge> scratch_edge_;         ///< transfer_to memo
-  mutable std::vector<std::uint32_t> scratch_num_; ///< number_post_order ids
+  mutable std::vector<std::uint32_t> scratch_num_; ///< record's post-order ids
   /// Node-index worklist of gc() and swap_levels() (never both at once).
   std::vector<std::uint32_t> node_scratch_;
 };
-
-template <class Fn>
-std::uint32_t Manager::number_post_order(Edge e, Fn&& fn) const {
-  // Post-order DFS marker: the top bit of a stack entry tags "children
-  // done, number this node" (node indices occupy at most 31 bits).
-  constexpr std::uint32_t kComputeBit = 0x80000000u;
-  const std::uint32_t epoch = begin_visit();
-  scratch_num_.resize(vars_.size());
-  std::uint32_t* visits = visits_.data();
-  std::uint32_t* num = scratch_num_.data();
-  visits[0] = epoch;
-  num[0] = 0;
-  std::uint32_t next = 1;
-  const std::uint32_t root = e.node();
-  std::vector<std::uint32_t>& stack = visit_stack_;
-  stack.clear();
-  if (visits[root] != epoch) stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t entry = stack.back();
-    stack.pop_back();
-    const std::uint32_t idx = entry & ~kComputeBit;
-    const std::uint32_t hi = thens_[idx].node();
-    const std::uint32_t lo = elses_[idx].node();
-    if ((entry & kComputeBit) != 0) {
-      num[idx] = next++;
-      fn(idx, num[hi], num[lo]);
-      continue;
-    }
-    if (visits[idx] == epoch) continue;  // discovered via another path
-    visits[idx] = epoch;
-    stack.push_back(idx | kComputeBit);
-    if (visits[hi] != epoch) stack.push_back(hi);
-    if (visits[lo] != epoch) stack.push_back(lo);
-  }
-  return num[root];
-}
 
 /// RAII handle to a BDD function: owns one external reference.
 ///

@@ -164,9 +164,7 @@ SharingStats extract_sharing(FactoringForest& forest,
   return stats;
 }
 
-std::uint64_t canonical_function_hash(const bdd::Manager& mgr,
-                                      bdd::Edge root,
-                                      std::span<const bdd::Var> relabel) {
+std::uint64_t canonical_function_hash(const bdd::ConeImage& image) {
   std::uint64_t h = 14695981039346656037ULL;
   const auto feed = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -174,21 +172,15 @@ std::uint64_t canonical_function_hash(const bdd::Manager& mgr,
       h *= 1099511628211ULL;
     }
   };
-  // Each node feeds (var, hi, lo) in the manager's post-order, with its
-  // children expressed as their post-order numbers plus phase: a function
-  // of the DAG's shape alone, not of where the manager allocated it.
-  const std::uint32_t root_number = mgr.number_post_order(
-      root, [&](std::uint32_t node, std::uint32_t hi, std::uint32_t lo) {
-        const bdd::Var v = mgr.node_var(node);
-        feed(relabel.empty() ? v : relabel[v]);
-        feed((static_cast<std::uint64_t>(hi) << 1) |
-             static_cast<std::uint64_t>(mgr.node_hi(node).complemented()));
-        feed((static_cast<std::uint64_t>(lo) << 1) |
-             static_cast<std::uint64_t>(mgr.node_lo(node).complemented()));
-      });
-  // The root's phase distinguishes f from !f (same regular DAG).
-  feed((static_cast<std::uint64_t>(root_number) << 1) |
-       static_cast<std::uint64_t>(root.complemented()));
+  // Each node feeds (var, hi, lo) in post-order, its children expressed as
+  // their post-order numbers plus phase; the root's phase, fed last,
+  // distinguishes f from !f (same regular DAG).
+  for (const bdd::ConeImage::Node& n : image.nodes) {
+    feed(n.var);
+    feed(n.hi);
+    feed(n.lo);
+  }
+  feed(image.root);
   return h;
 }
 

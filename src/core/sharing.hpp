@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -25,23 +24,21 @@ struct SharingStats {
 SharingStats extract_sharing(FactoringForest& forest,
                              std::vector<FactId>& roots, bdd::Manager& mgr);
 
-/// Content address of the function `root` computes: an FNV-1a-64 digest of
-/// the BDD's structure under the manager's post-order node numbering
-/// (Manager::number_post_order), so the value is independent of the
-/// manager's node indices (which depend on allocation history) yet fully
-/// determined by the function, the variable numbering and the variable
-/// order. Two managers holding the same function over the same Var ids in
-/// the same order produce the same digest. Allocates nothing.
+/// Content address of a recorded cone (bdd::Manager::record): an
+/// FNV-1a-64 digest of its post-order nodes and root. The image does not
+/// depend on the manager's node indices (which depend on allocation
+/// history), so the digest is fully determined by the function, the
+/// (relabelled) variable numbering and the variable order: two managers
+/// holding the same function over the same Var ids in the same order give
+/// the same digest.
 ///
-/// A nonempty `relabel` (indexed by Var) renames each variable before it is
-/// hashed. bds_decompose relabels a supernode's partition variables to
-/// their input positions, so the digest equals that of the function's
-/// transfer into a compact manager over 0..k-1 whenever the positions
-/// follow the partition manager's level order. That digest keys both the
-/// run's cone memo and the cross-request result cache, before any manager
-/// is leased.
+/// bds_decompose records a supernode in the partition manager with each
+/// partition variable relabelled to its input position, so the image is
+/// the one a compact manager over 0..k-1 would record whenever the
+/// positions follow the partition manager's level order. Its digest keys
+/// both the run's cone memo and the cross-request result cache, before any
+/// manager is leased.
 [[nodiscard]] std::uint64_t canonical_function_hash(
-    const bdd::Manager& mgr, bdd::Edge root,
-    std::span<const bdd::Var> relabel = {});
+    const bdd::ConeImage& image);
 
 }  // namespace bds::core

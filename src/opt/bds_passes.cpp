@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <ranges>
 #include <string>
 #include <unordered_map>
@@ -61,7 +59,7 @@ std::size_t cone_cache_entries(std::size_t partition_bdd_size) {
 
 // ---- budget-degradation fallback -------------------------------------------
 //
-// When a supernode's BDD work (transfer, reorder, decompose) trips the
+// When a supernode's BDD work (replay, reorder, decompose) trips the
 // resource budget, the supernode is rebuilt by algebraically factoring its
 // *original* SOP cone instead (sis::factor -- the same quick-factor the SIS
 // baseline and the technology mapper use). The cone interior is the
@@ -225,8 +223,8 @@ class BdsDecomposePass final : public Pass {
     const std::size_t jobs = parse_size_arg(
         "bds_decompose",
         flag_value("bds_decompose", args, "-j", std::to_string(jobs_)));
-    // Every worker count reaches ThreadPool::ensure_workers through here
-    // -- the `jobs` script parameter, raw scripts and daemon requests
+    // Every worker count reaches the pool's growth in parallel_for through
+    // here -- the `jobs` script parameter, raw scripts and daemon requests
     // alike -- so this is where a runaway count is refused.
     if (jobs > kMaxJobs) {
       throw ScriptError("bds_decompose: -j " + std::to_string(jobs) +
@@ -263,34 +261,32 @@ class BdsDecomposePass final : public Pass {
   // every cone is rebuilt in its own compact manager and factored into its
   // own private forest, so the per-cone work shares nothing. Most cones of
   // an arithmetic circuit repeat an earlier cone's function, so each
-  // distinct function is decomposed once. It runs as one staged for-each
-  // over the cones, then a serial merge:
+  // distinct function is decomposed once. The pass runs in three phases:
   //
-  //   loop  -- `jobs` executor slots (a parallel_for over the persistent
-  //            pool, PassContext::thread_pool -- never a pool constructed
-  //            here). Each slot repeats: take the staging lock, claim the
-  //            next cone index and stage it, unlock, then reorder and
-  //            decompose the cone and end its lease. Staging checks the
-  //            cone's variable map, keys it in the partition manager
-  //            (canonical_function_hash over its input positions) and
-  //            decides its role. The first index with a key leads; a later
-  //            index with that key follows and is never leased, transferred
-  //            or decomposed. A leader tries the result cache next, and only
-  //            on a miss is leased a manager and transferred. Staging is
-  //            serial and in index order because the partition manager's
-  //            visit stamps are shared scratch and because index order
-  //            makes leadership and the cache's LRU lookups deterministic;
-  //            reorder + decompose of different cones overlap freely. At
-  //            most `jobs` leases are live at once.
-  //   merge -- serial, in cone index order, after the loop: each cone
-  //            splices its leader's result (its own when it leads) into the
-  //            flow forest, and fresh results are published to the cache,
-  //            so the emitted network and the absorbed telemetry are
-  //            byte-identical to -j1 at every worker count.
+  //   stage     -- serial, in cone index order. Each cone's variable map is
+  //                checked, its image is recorded in the partition manager
+  //                (each partition variable relabelled to its input
+  //                position) and keyed by the image's digest, and its role
+  //                is decided. The first index with a key leads; a later
+  //                index with that key follows and is never leased or
+  //                decomposed. A leader tries the result cache next. The
+  //                partition manager's visit stamps are shared scratch, and
+  //                index order makes leadership and the cache's LRU lookups
+  //                deterministic. Nothing is leased here.
+  //   decompose -- parallel_for over the leaders the cache missed, `jobs`
+  //                wide, on the persistent pool (PassContext::thread_pool,
+  //                never a pool constructed here). Each body leases a
+  //                manager, replays the cone's image into it, sifts,
+  //                decomposes and ends the lease. The bodies touch only
+  //                their own cone and executor slot: there is no lock.
+  //   merge     -- serial, in cone index order: each cone splices its
+  //                leader's result (its own when it leads) into the flow
+  //                forest, and fresh results are published to the cache,
+  //                so the emitted network and the absorbed telemetry are
+  //                byte-identical to -j1 at every worker count.
   //
-  // The first error (a stale-partition ScriptError, bad_alloc) is stored
-  // under the staging lock; every slot then stops claiming cones, and the
-  // pass rethrows it once the loop has returned.
+  // A stale partition throws from the stage phase before any lease; a body
+  // exception is rethrown by parallel_for once every leader ran.
   void run(net::Network& net, PassContext& ctx) override {
     BdsFlowState& st = ctx.state<BdsFlowState>();
     if (!st.pmgr) {
@@ -301,24 +297,21 @@ class BdsDecomposePass final : public Pass {
     const std::size_t num_supernodes = st.part.supernodes.size();
     st.roots.reserve(num_supernodes);
 
-    // Per-cone work unit. `func` must be declared after `mgr`: the handle
-    // has to die before the manager that owns its nodes. Managers are pool
-    // leases, not fresh constructions -- recycled arenas skip the
-    // allocation cost a long-lived daemon would otherwise pay per cone.
     constexpr std::size_t kLeads = static_cast<std::size_t>(-1);
     struct Item {
-      ManagerPool::Lease mgr;
-      Bdd func;
+      /// The cone recorded in the partition manager; kept only by a leader
+      /// the cache missed, until the decompose phase replays it.
+      bdd::ConeImage image;
       std::uint32_t k = 0;
       /// Peak gauges of the cone's manager, captured when its lease ends.
       std::size_t peak_nodes = 0;
       std::size_t peak_bytes = 0;
-      /// The cone's decomposition once it has one. Null after the loop
-      /// means the budget tripped on this cone (or on its leader): the
-      /// merge rebuilds it from its original SOP cone instead.
+      /// The cone's decomposition once it has one. Null after the
+      /// decompose phase means the budget tripped on this cone (or on its
+      /// leader): the merge rebuilds it from its original SOP cone instead.
       std::shared_ptr<const ConeResult> result;
-      /// decompose_cache_key of the cone's function, computed in the
-      /// partition manager; it names the cone in this run and in the cache.
+      /// decompose_cache_key of the cone's image; it names the cone in
+      /// this run and in the cache.
       std::uint64_t key = 0;
       /// The earlier cone with the same key whose result this one shares,
       /// or kLeads.
@@ -326,7 +319,7 @@ class BdsDecomposePass final : public Pass {
       /// Served from the content-addressed result cache: `result` is an
       /// earlier request's decomposition of the same canonical function.
       bool cached = false;
-      /// Reordered and decomposed by an executor slot in this run.
+      /// Run by the decompose phase, which wrote its supernode span.
       bool decomposed = false;
     };
 
@@ -337,30 +330,12 @@ class BdsDecomposePass final : public Pass {
     std::size_t cache_skipped = 0;
     std::size_t cone_repeats = 0;
 
-    // Executor slots are loop-local identities (one parallel_for index
-    // each), so per-slot accounting is race-free even when the pool
-    // interleaves jobs from concurrent pipelines.
-    const unsigned slots = util::ThreadPool::resolve(jobs_);
-    util::ThreadPool& pool = ctx.thread_pool();
-    pool.ensure_workers(slots);
-
     std::vector<Item> items(num_supernodes);
-    std::vector<double> busy_seconds(slots, 0.0);
-    std::vector<std::size_t> cones_run(slots, 0);
 
-    // Staging scratch, used under the staging lock only. `position` maps a
-    // partition variable to the staged cone's input position (kNoVar
-    // elsewhere: an input absent from the partition map must be diagnosed,
-    // not silently aliased onto variable 0); each cone resets the entries
-    // it set. `leader_of` maps a key to the first cone index that had it.
-    std::vector<Var> position(st.pmgr->num_vars(), core::kNoVar);
-    std::unordered_map<std::uint64_t, std::size_t> leader_of;
-    leader_of.reserve(num_supernodes);
-
-    // One span covers the whole loop. Per-cone telemetry goes into one
-    // private recorder per cone, absorbed in index order after the loop, so
-    // the event stream is byte-identical at every -j (execution-dependent
-    // values ride in the exec bucket).
+    // One span covers staging and decomposition. Per-cone telemetry goes
+    // into one private recorder per cone, absorbed in index order
+    // afterwards, so the event stream is byte-identical at every -j
+    // (execution-dependent values ride in the exec bucket).
     util::TelemetrySpan par_span =
         util::TelemetrySpan::open(tel, "stage:pipeline");
     std::vector<util::TelemetryRecorder> recorders;
@@ -373,44 +348,24 @@ class BdsDecomposePass final : public Pass {
       }
     }
 
-    // Leases cone `s` a manager and transfers its function into it (the
-    // caller holds the staging lock and has filled `position`). Returns
-    // false, lease returned, when the transfer trips the budget.
-    const auto transfer = [&](std::size_t s) {
-      const core::Supernode& sn = st.part.supernodes[s];
-      Item& item = items[s];
-      // "BDD mapping": rebuild the supernode function in a compact manager
-      // containing only the used variables (Section IV-B), its computed
-      // table sized from the cone. The node/byte ceilings are per manager,
-      // and each private manager performs the same operation sequence at
-      // any -j, so budget trips -- and therefore degradations -- are
-      // deterministic across -j.
-      item.mgr = ManagerPool::global().acquire(
-          item.k, cone_cache_entries(sn.func.size()));
-      item.mgr->set_budget(ctx.budget());
-      try {
-        item.func = item.mgr->wrap(
-            st.pmgr->transfer_to(*item.mgr, sn.func.edge(), position));
-      } catch (const BudgetExceeded&) {
-        item.func = Bdd();
-        item.mgr.release();
-        return false;
-      }
-      return true;
-    };
-
-    // Stages cone `s` (caller holds the staging lock). Returns true when
-    // the cone still needs reorder and decompose; false leaves it a
-    // follower, cached or degraded (no result), with no lease held.
-    const auto stage = [&](std::size_t s) {
+    // ---- stage: serial, in cone index order. `position` maps a partition
+    // variable to the staged cone's input position (kNoVar elsewhere: an
+    // input absent from the partition map must be diagnosed, not silently
+    // aliased onto variable 0); each cone resets the entries it set.
+    std::vector<Var> position(st.pmgr->num_vars(), core::kNoVar);
+    std::unordered_map<std::uint64_t, std::size_t> leader_of;
+    leader_of.reserve(num_supernodes);
+    bdd::ConeImage image;  // scratch: a leader keeps a copy
+    std::vector<std::size_t> leaders;  ///< cones to decompose, index order
+    for (std::size_t s = 0; s < num_supernodes; ++s) {
       const core::Supernode& sn = st.part.supernodes[s];
       Item& item = items[s];
       item.k = static_cast<std::uint32_t>(sn.inputs.size());
       if (st.part.degraded) {
         // Trivial partition: the supernode `func` handles are invalid by
-        // contract. Every item goes straight to the fallback path.
+        // contract. Every cone goes straight to the fallback path.
         if (cache != nullptr) ++cache_skipped;
-        return false;
+        continue;
       }
       for (std::uint32_t i = 0; i < item.k; ++i) {
         const net::NodeId input = sn.inputs[i];
@@ -426,44 +381,63 @@ class BdsDecomposePass final : public Pass {
         }
         position[pvar] = i;
       }
-      for (const Var v : st.pmgr->support(sn.func.edge())) {
-        if (position[v] == core::kNoVar) {
-          throw ScriptError(
-              "bds_decompose: supernode '" + net.node(sn.id).name +
-              "' depends on a signal missing from its input list "
-              "(partition variable " +
-              std::to_string(v) + ")");
-        }
+      // The inputs are the support in variable order and the partition
+      // manager never reorders, so relabelling each variable to its
+      // position records the DAG a compact identity-ordered manager
+      // holds -- and its digest.
+      st.pmgr->record(sn.func.edge(), position, image);
+      for (const net::NodeId input : sn.inputs) {
+        position[st.part.var_of[input]] = core::kNoVar;
       }
-      // The key, before any lease: the inputs are the support in variable
-      // order and the partition manager never reorders, so relabelling
-      // each variable to its position gives the DAG the transfer would
-      // build in a compact identity-ordered manager -- and its digest.
-      item.key = decompose_cache_key(
-          core::canonical_function_hash(*st.pmgr, sn.func.edge(), position),
-          opts_, reorder_, item.k);
+      if (std::ranges::find(image.nodes, core::kNoVar,
+                            &bdd::ConeImage::Node::var) !=
+          image.nodes.end()) {
+        throw ScriptError("bds_decompose: supernode '" +
+                          net.node(sn.id).name +
+                          "' depends on a signal missing from its input "
+                          "list");
+      }
+      item.key = decompose_cache_key(core::canonical_function_hash(image),
+                                     opts_, reorder_, item.k);
       const auto [it, leads] = leader_of.try_emplace(item.key, s);
       if (!leads) {
         item.leader = it->second;
         ++cone_repeats;
-      } else if (cache != nullptr) {
+        continue;
+      }
+      if (cache != nullptr) {
         item.result = cache->lookup(item.key);
         item.cached = item.result != nullptr;
         ++(item.cached ? cache_hits : cache_misses);
       }
-      const bool needs_decompose = leads && !item.cached && transfer(s);
-      for (const net::NodeId input : sn.inputs) {
-        position[st.part.var_of[input]] = core::kNoVar;
+      if (!item.cached) {
+        // A copy is allocated at its exact size; the moved scratch
+        // would carry its growth slack until the replay.
+        item.image = image;
+        leaders.push_back(s);
       }
-      return needs_decompose;
-    };
+    }
 
-    // Reorders and decomposes a staged cone in its private manager,
-    // recording epochs into `rec`, then ends the lease: the peak gauges are
-    // recorded, the handle dropped before its manager, and the manager
-    // parked back in the pool.
+    // Rebuilds a leader in a leased manager, then reorders and decomposes
+    // it, recording epochs into `rec`, and ends the lease. "BDD mapping":
+    // the compact manager holds only the cone's variables (Section IV-B),
+    // its computed table sized from the cone. The node/byte ceilings are
+    // per manager, and each private manager performs the same operation
+    // sequence at any -j, so budget trips -- and therefore degradations --
+    // are deterministic across -j. The handle is declared after the lease:
+    // it has to die before the manager that owns its nodes.
     const auto decompose = [&](Item& item, util::TelemetryRecorder* rec) {
-      bdd::Manager& mgr = *item.mgr;
+      ManagerPool::Lease lease = ManagerPool::global().acquire(
+          item.k, cone_cache_entries(item.image.nodes.size() + 1));
+      bdd::Manager& mgr = *lease;
+      mgr.set_budget(ctx.budget());
+      Bdd func;
+      try {
+        func = mgr.wrap(mgr.replay(item.image));
+      } catch (const BudgetExceeded&) {
+      }
+      item.image = bdd::ConeImage();
+      if (!func.valid()) return;  // the replay tripped: no result
       try {
         if (reorder_ && item.k > 1) {
           // Manager-op epoch: counters accrued by reordering alone,
@@ -489,7 +463,7 @@ class BdsDecomposePass final : public Pass {
         }
         auto result = std::make_shared<ConeResult>();
         core::Decomposer dec(mgr, result->forest, opts_);
-        result->root = dec.decompose(item.func);
+        result->root = dec.decompose(func);
         result->stats = dec.stats();
         item.result = std::move(result);
         if (epoch.active()) {
@@ -498,11 +472,8 @@ class BdsDecomposePass final : public Pass {
       } catch (const BudgetExceeded&) {
         // The cone degrades: it is left without a result.
       }
-      item.decomposed = true;
       item.peak_nodes = mgr.stats().peak_live_nodes;
       item.peak_bytes = mgr.stats().peak_memory_bytes;
-      item.func = Bdd();
-      item.mgr.release();
     };
 
     // The supernode span of cone `s`: its arity, its decomposition
@@ -518,24 +489,15 @@ class BdsDecomposePass final : public Pass {
       if (item.leader != kLeads) span.count("repeat", 1.0);
     };
 
-    // The cursor and the first error (the stop flag: once set, no slot
-    // claims another cone) are guarded by the staging mutex. A slot stages
-    // cones until one needs decomposing; followers, cache hits and
-    // degraded cones never leave the lock.
-    std::mutex stage_mu;
-    std::size_t next = 0;
-    std::exception_ptr first_error;
-    const auto drain = [&](std::size_t slot, unsigned) {
-      for (;;) {
-        try {
-          std::size_t s = 0;
-          {
-            const std::lock_guard<std::mutex> lock(stage_mu);
-            do {
-              if (first_error || next == num_supernodes) return;
-              s = next++;
-            } while (!stage(s));
-          }
+    // ---- decompose: one body per leader. Executor slots are loop-local
+    // identities, so per-slot accounting is race-free even when the pool
+    // runs loops of concurrent pipelines.
+    const unsigned slots = util::ThreadPool::resolve(jobs_);
+    std::vector<double> busy_seconds(slots, 0.0);
+    std::vector<std::size_t> cones_run(slots, 0);
+    ctx.thread_pool().parallel_for(
+        leaders.size(), slots, [&](std::size_t j, unsigned slot) {
+          const std::size_t s = leaders[j];
           Item& item = items[s];
           util::TelemetryRecorder* rec =
               recorders.empty() ? nullptr : &recorders[s];
@@ -546,6 +508,7 @@ class BdsDecomposePass final : public Pass {
           }
           Timer timer;
           decompose(item, rec);
+          item.decomposed = true;
           busy_seconds[slot] += timer.seconds();
           ++cones_run[slot];
           if (span.active()) {
@@ -553,18 +516,11 @@ class BdsDecomposePass final : public Pass {
             span.attr("executor", std::to_string(slot));
             span.count("busy_seconds", timer.seconds());
           }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(stage_mu);
-          if (!first_error) first_error = std::current_exception();
-          return;
-        }
-      }
-    };
-    pool.parallel_for(slots, drain);
-    if (first_error) std::rethrow_exception(first_error);
+        });
 
     // Every leader is done: followers take their leader's result, and the
-    // cones no slot decomposed get their supernode spans, in index order.
+    // cones the decompose phase did not run get their supernode spans, in
+    // index order.
     for (std::size_t s = 0; s < num_supernodes; ++s) {
       Item& item = items[s];
       if (item.leader != kLeads) item.result = items[item.leader].result;

@@ -2,14 +2,15 @@
 // bds_decompose's in-run cone memo (DESIGN.md §5d, §5h).
 //
 // Key: the canonical-function digest of a supernode's BDD
-// (core::canonical_function_hash, taken in the partition manager over the
-// cone's input positions) folded with a fingerprint of every decomposition
-// option that influences the result -- the same key that picks a run's
-// leader cones. Value: the cone's decomposition itself -- one immutable
-// ConeResult (private forest, root, DecomposeStats) shared by pointer -- so
-// a hit skips the lease, transfer, reorder and decompose entirely and is
-// spliced by bds_decompose's merge with the same const copy_into a cold
-// cone uses, byte-identically to the cold run.
+// (core::canonical_function_hash of the cone's image, recorded in the
+// partition manager over the cone's input positions) folded with a
+// fingerprint of every decomposition option that influences the result --
+// the same key that picks a run's leader cones. Value: the cone's
+// decomposition itself -- one immutable ConeResult (private forest, root,
+// DecomposeStats) shared by pointer -- so a hit skips the lease, replay,
+// reorder and decompose entirely and is spliced by bds_decompose's merge
+// with the same const copy_into a cold cone uses, byte-identically to the
+// cold run.
 //
 // Eviction is LRU by byte budget under one mutex; each entry is charged
 // the heap bytes of its forest. A lookup hands out a shared reference, so

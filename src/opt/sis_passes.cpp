@@ -68,10 +68,13 @@ class FullSimplifyPass final : public Pass {
  public:
   std::string_view name() const override { return "full_simplify"; }
   void run(net::Network& net, PassContext& ctx) override {
-    std::size_t peak = 0;
-    const std::size_t improved = sis::full_simplify(net, {}, &peak);
+    sis::FullSimplifyOptions opts;
+    opts.budget = ctx.budget();
+    sis::FullSimplifyReport report;
+    const std::size_t improved = sis::full_simplify(net, opts, &report);
     ctx.count("simplified", static_cast<double>(improved));
-    ctx.count("peak_bdd_nodes", static_cast<double>(peak));
+    ctx.count("peak_bdd_nodes", static_cast<double>(report.peak_bdd_nodes));
+    if (report.budget_stopped) ctx.count("degraded", 1.0);
   }
 };
 

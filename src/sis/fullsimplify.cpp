@@ -56,19 +56,10 @@ bool bdd_to_cubes(const Manager& mgr, Edge root, unsigned width,
   return ok;
 }
 
-}  // namespace
-
-std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
-                          std::size_t* peak_bdd_nodes) {
-  std::size_t improved = 0;
-  Manager mgr;
-  struct PeakReporter {
-    const Manager& m;
-    std::size_t* out;
-    ~PeakReporter() {
-      if (out != nullptr) *out = m.stats().peak_live_nodes;
-    }
-  } reporter{mgr, peak_bdd_nodes};
+/// The body of full_simplify. It counts rewritten nodes into `improved` as
+/// it goes, so the count survives a budget trip.
+void minimize_nodes(Network& net, const FullSimplifyOptions& opts,
+                    Manager& mgr, std::size_t& improved) {
   // y-variables for the fanin space sit on top of the order.
   for (unsigned i = 0; i < kMaxFanins; ++i) mgr.new_var();
   std::vector<bdd::Var> pi_var(net.raw_size(), 0);
@@ -106,11 +97,11 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
       // after 100 s; ripple_adder(128) at a 2k cap: seconds of sifts).
       // Measured on those adders (where more sifts improved no node) and
       // on the seven bench_suite families (rugged BLIF unchanged).
-      if (rescued) return improved;
+      if (rescued) return;
       mgr.reorder_sift();
       rescued = true;
       if (mgr.live_nodes() > opts.max_manager_nodes) {
-        return improved;  // circuit too large for global BDDs: give up
+        return;  // circuit too large for global BDDs: give up
       }
       reordered = true;
     }
@@ -156,6 +147,24 @@ std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
       ++improved;
     }
   }
+}
+
+}  // namespace
+
+std::size_t full_simplify(Network& net, const FullSimplifyOptions& opts,
+                          FullSimplifyReport* report) {
+  std::size_t improved = 0;
+  Manager mgr;
+  mgr.set_budget(opts.budget);
+  bool stopped = false;
+  try {
+    minimize_nodes(net, opts, mgr, improved);
+  } catch (const BudgetExceeded&) {
+    // Each rewrite only uses don't cares of the unchanged global
+    // functions, so the nodes rewritten so far stay.
+    stopped = true;
+  }
+  if (report != nullptr) *report = {mgr.stats().peak_live_nodes, stopped};
   return improved;
 }
 

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "net/network.hpp"
 #include "sis/algebra.hpp"
+#include "util/budget.hpp"
 
 namespace bds::sis {
 
@@ -38,17 +40,29 @@ struct FullSimplifyOptions {
   std::size_t max_manager_nodes = 200'000;
   /// Trigger dynamic variable reordering past this many live nodes.
   std::size_t reorder_threshold = 30'000;
+  /// The run's resource budget, installed on the global-BDD manager
+  /// (null = unlimited).
+  std::shared_ptr<const util::ResourceBudget> budget;
+};
+
+/// What a full_simplify run reports besides its improved-node count.
+struct FullSimplifyReport {
+  /// The manager's live-node high-watermark (the Table I memory
+  /// comparison).
+  std::size_t peak_bdd_nodes = 0;
+  /// The budget tripped; the nodes rewritten before the trip stay.
+  bool budget_stopped = false;
 };
 
 /// SIS `full_simplify`: per-node minimization with satisfiability don't
 /// cares computed from global BDDs. Returns the number of improved nodes.
 /// Nodes with too many fanins, or whose don't-care set needs too many
 /// cubes, are left alone (fixed caps). Gives up gracefully (returning
-/// early) on circuits whose global BDDs exceed the node budget.
-/// `peak_bdd_nodes`, when given, receives the manager's live-node
-/// high-watermark (the Table I memory comparison).
+/// early) on circuits whose global BDDs exceed the node cap, and stops the
+/// same way when the budget trips: every rewrite keeps each node's global
+/// function, so the network stays equivalent wherever it stops.
 std::size_t full_simplify(net::Network& net,
                           const FullSimplifyOptions& opts = {},
-                          std::size_t* peak_bdd_nodes = nullptr);
+                          FullSimplifyReport* report = nullptr);
 
 }  // namespace bds::sis

@@ -1,76 +1,42 @@
-// A persistent worker pool with submitted jobs and parallel loops.
+// A persistent worker pool that runs parallel index loops.
 //
-// The pool owns `workers - 1` OS threads parked on a condition variable;
-// the thread that calls into the pool always participates as an executor
-// itself, so a 1-worker pool holds no thread at all and stays lock-free on
-// its fast paths. Two entry points share the same worker loop:
-//
-//   * `submit(batch, job)` queues one job for any free worker. Jobs are
-//     grouped into caller-owned `Batch`es; `wait(batch)` blocks until every
-//     job of that batch finished and rethrows the first exception any of
-//     them threw. Waiting *helps*: jobs of the batch still sitting in the
-//     pool's queue are reclaimed and run on the waiting thread, so a batch
-//     whose jobs never got a worker (every thread busy with other batches,
-//     or nested waits all the way down) still completes -- `wait` can never
-//     deadlock on pool starvation.
-//   * `parallel_for(n, body)` -- the classic index loop, now layered on
-//     submit: one drain job per extra executor, indices claimed from an
-//     atomic counter so uneven item costs self-balance, caller drains as
-//     executor 0. Body exceptions are captured per index and the first is
-//     rethrown after every index ran; with one worker (or n <= 1) it is a
-//     plain serial loop.
+// `parallel_for(n, width, body)` runs body(i, executor) for every i in
+// [0, n) on at most min(n, width) executors: the calling thread is
+// executor 0 and pool threads join as helpers 1, 2, ... Indices are
+// claimed from an atomic counter, so uneven item costs self-balance. A
+// helper joins a loop only while the loop still has unclaimed indices and
+// leaves it once they are gone; the caller never runs another loop's body
+// and waits only for the helpers still inside its own loop. Concurrent
+// loops on one pool are therefore safe, and a loop whose helpers are all
+// busy elsewhere simply finishes on its caller.
 //
 // Pools are meant to be *shared and long-lived*: the bdsd server owns one
 // for its whole lifetime and every request reuses it (no per-request thread
-// churn), and `ThreadPool::shared()` is the lazily constructed process-wide
-// pool the pass layer falls back to when no pool was injected.
-// `ensure_workers(n)` grows a pool in place (threads are only ever added,
-// never recycled), so one `-j 8` request permanently provisions the shared
-// pool for eight-way runs instead of spawning and joining threads per call.
+// churn), and `ThreadPool::shared()` is the process-wide pool the pass layer
+// falls back to when no pool was injected. A loop grows its pool to `width`
+// executors in place (threads are only ever added, never recycled), so the
+// shared pool, which starts with no thread, spawns none in a `-j 1` process.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace bds::util {
 
 class ThreadPool {
  public:
-  /// A caller-owned group of submitted jobs. Submit against it, then
-  /// `pool.wait(batch)` exactly once per round of submissions; the batch is
-  /// reusable afterwards. Destroying a batch with jobs still pending is a
-  /// usage error (wait first); the destructor tolerates the empty case.
-  class Batch {
-   public:
-    Batch() = default;
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-
-   private:
-    friend class ThreadPool;
-    std::mutex mu;
-    std::condition_variable done_cv;
-    std::size_t pending = 0;        ///< submitted jobs not yet finished
-    std::exception_ptr error;       ///< first exception any job threw
-  };
-
   /// A pool of `workers` total executors (>= 1); the constructor spawns
   /// `workers - 1` threads, the calling thread is the remaining executor.
   explicit ThreadPool(unsigned workers) {
-    const unsigned w = workers < 1 ? 1 : workers;
-    workers_.store(w, std::memory_order_relaxed);
-    threads_.reserve(w - 1);
-    for (unsigned e = 1; e < w; ++e) {
-      threads_.emplace_back([this, e] { worker_loop(e); });
-    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    grow(workers);
   }
 
   ~ThreadPool() {
@@ -85,8 +51,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Current executor count (1 caller + spawned threads). Grows under
-  /// ensure_workers, never shrinks.
+  /// Current executor count (1 caller + spawned threads). Grows with the
+  /// widest loop run so far, never shrinks.
   unsigned workers() const { return workers_.load(std::memory_order_relaxed); }
 
   /// Maps a user-facing `-j N` request to an executor count: 0 means "use
@@ -98,154 +64,108 @@ class ThreadPool {
     return hw == 0 ? 1 : hw;
   }
 
-  /// The lazily constructed process-wide pool (hardware-sized at first
-  /// use). Passes fall back to it when the pipeline injected none, so even
-  /// bare `PassManager::run` calls never construct throwaway pools.
+  /// The process-wide pool. It starts with no thread of its own and grows
+  /// to the widest loop run on it, so bare `PassManager::run` calls never
+  /// construct throwaway pools and a serial process never spawns a thread.
   static ThreadPool& shared() {
-    static ThreadPool pool(resolve(0));
+    static ThreadPool pool(1);
     return pool;
   }
 
-  /// Grows the pool to at least `n` executors (including the caller).
-  /// Threads are spawned once and persist; shrinking is not supported.
-  void ensure_workers(unsigned n) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    unsigned w = workers_.load(std::memory_order_relaxed);
-    while (w < n) {
-      threads_.emplace_back([this, w] { worker_loop(w); });
-      ++w;
-    }
-    workers_.store(w, std::memory_order_relaxed);
-  }
+  using Body = std::function<void(std::size_t, unsigned)>;
 
-  /// Queues `job` to run once on some executor other than the caller
-  /// (unless the caller later reclaims it inside `wait`). The `executor`
-  /// argument the job receives is the pool-wide id of the thread that ran
-  /// it (0 when a waiting caller reclaimed it); two jobs observing the
-  /// same id never run concurrently.
-  void submit(Batch& batch, std::function<void(unsigned)> job) {
-    {
-      const std::lock_guard<std::mutex> block(batch.mu);
-      ++batch.pending;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(Job{&batch, std::move(job)});
-    }
-    work_cv_.notify_one();
-  }
-
-  /// Blocks until every job submitted to `batch` has finished, then
-  /// rethrows the first exception any of them threw (clearing it). Jobs of
-  /// this batch still queued are reclaimed and run on the calling thread,
-  /// so wait() always terminates even when no pool thread is free.
-  void wait(Batch& batch) {
-    // Reclaim: pull this batch's unstarted jobs out of the shared queue
-    // and run them here. Anything not reclaimed is already running (or
-    // finished) on a worker.
-    for (;;) {
-      Job job;
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        bool found = false;
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-          if (it->batch == &batch) {
-            job = std::move(*it);
-            queue_.erase(it);
-            found = true;
-            break;
-          }
-        }
-        if (!found) break;
-      }
-      run_job(job, /*executor=*/0);
-    }
-    std::unique_lock<std::mutex> lock(batch.mu);
-    batch.done_cv.wait(lock, [&batch] { return batch.pending == 0; });
-    if (batch.error) {
-      std::exception_ptr err = std::exchange(batch.error, nullptr);
-      lock.unlock();
-      std::rethrow_exception(err);
-    }
-  }
-
-  /// Runs body(i, executor) for every i in [0, n). Blocks until all
-  /// iterations finish; rethrows the first body exception afterwards.
-  /// Iterations are claimed dynamically (atomic counter), so the
-  /// index->executor assignment is nondeterministic with 2+ workers --
-  /// bodies must only touch per-index or per-executor state. The executor
-  /// ids handed to the body are loop-local (0 = the caller); concurrent
-  /// parallel_for calls on one pool are safe because each call owns its
-  /// claim counter and batch.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, unsigned)>& body) {
-    const unsigned w = workers();
-    if (w == 1 || n <= 1) {
+  /// Runs body(i, executor) for every i in [0, n) and blocks until all of
+  /// them finished; the first body exception is rethrown after every index
+  /// ran. The pool grows to `width` executors, and at most min(n, width)
+  /// of them run this loop. Indices are claimed dynamically, so the
+  /// index->executor assignment is nondeterministic with 2+ executors --
+  /// bodies must only touch per-index or per-executor state. Executor ids
+  /// are loop-local, below min(n, width) (0 = the caller). With one
+  /// executor it is a plain serial loop on the caller.
+  void parallel_for(std::size_t n, unsigned width, const Body& body) {
+    const auto executors =
+        static_cast<unsigned>(std::min<std::size_t>(n, width));
+    if (executors <= 1) {
       for (std::size_t i = 0; i < n; ++i) body(i, 0);
       return;
     }
-    Batch batch;
-    std::atomic<std::size_t> next{0};
-    const auto drain = [&](unsigned loop_executor) {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          body(i, loop_executor);
-        } catch (...) {
-          const std::lock_guard<std::mutex> block(batch.mu);
-          if (!batch.error) batch.error = std::current_exception();
-        }
-      }
-    };
-    for (unsigned e = 1; e < w; ++e) {
-      submit(batch, [&drain, e](unsigned) { drain(e); });
+    Loop loop(n, body, executors - 1);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      grow(width);
+      open_.push_back(&loop);
     }
-    drain(0);
-    wait(batch);
+    work_cv_.notify_all();
+    drain(loop, 0);
+    std::unique_lock<std::mutex> lock(mu_);
+    std::erase(open_, &loop);  // no helper joins a drained loop
+    loop.done.wait(lock, [&loop] { return loop.inside == 0; });
+    if (loop.error) std::rethrow_exception(loop.error);
   }
 
  private:
-  struct Job {
-    Batch* batch = nullptr;
-    std::function<void(unsigned)> fn;
+  /// One parallel_for call, on its caller's stack. `seats`, `joined`,
+  /// `inside` and `error` are guarded by the pool mutex.
+  struct Loop {
+    Loop(std::size_t count, const Body& fn, unsigned helpers)
+        : n(count), body(fn), seats(helpers) {}
+    const std::size_t n;
+    const Body& body;
+    unsigned seats;               ///< helpers that may still join
+    unsigned joined = 0;          ///< helpers that joined (their ids 1..)
+    unsigned inside = 0;          ///< helpers still draining
+    std::atomic<std::size_t> next{0};
+    std::exception_ptr error;     ///< first exception any body threw
+    std::condition_variable done; ///< signalled when `inside` drops to 0
   };
 
-  void run_job(Job& job, unsigned executor) {
-    try {
-      job.fn(executor);
-    } catch (...) {
-      const std::lock_guard<std::mutex> block(job.batch->mu);
-      if (!job.batch->error) job.batch->error = std::current_exception();
+  /// Spawns threads until the pool has `executors` executors (caller
+  /// holds mu_).
+  void grow(unsigned executors) {
+    while (threads_.size() + 1 < executors) {
+      threads_.emplace_back([this] { worker_loop(); });
     }
-    // Notify under the batch lock, and only for the last job: the batch
-    // lives on the waiter's stack, and the waiter may return and destroy it
-    // as soon as it can observe pending == 0 -- which, with the lock held
-    // here, is only after this notify.
-    const std::lock_guard<std::mutex> block(job.batch->mu);
-    if (--job.batch->pending == 0) job.batch->done_cv.notify_all();
+    workers_.store(static_cast<unsigned>(threads_.size() + 1),
+                   std::memory_order_relaxed);
   }
 
-  void worker_loop(unsigned executor) {
+  void drain(Loop& loop, unsigned executor) {
     for (;;) {
-      Job job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ with nothing left to run
-        job = std::move(queue_.front());
-        queue_.pop_front();
+      const std::size_t i = loop.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= loop.n) return;
+      try {
+        loop.body(i, executor);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (!loop.error) loop.error = std::current_exception();
       }
-      run_job(job, executor);
+    }
+  }
+
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [this] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      Loop& loop = *open_.front();
+      const unsigned executor = ++loop.joined;
+      ++loop.inside;
+      if (--loop.seats == 0) open_.erase(open_.begin());
+      lock.unlock();
+      drain(loop, executor);
+      lock.lock();
+      // Notify under the lock: the caller can only observe inside == 0,
+      // return and destroy the loop after this thread waits again.
+      if (--loop.inside == 0) loop.done.notify_one();
     }
   }
 
   std::atomic<unsigned> workers_{1};
   std::vector<std::thread> threads_;
 
-  std::mutex mu_;                   ///< guards queue_, stop_, thread growth
-  std::condition_variable work_cv_; ///< wakes workers on submit and stop
-  std::deque<Job> queue_;           ///< submitted jobs not yet claimed
+  std::mutex mu_;                   ///< guards open_, stop_, threads_, loops
+  std::condition_variable work_cv_; ///< wakes helpers on a new loop or stop
+  std::vector<Loop*> open_;         ///< loops with helper seats left
   bool stop_ = false;
 };
 

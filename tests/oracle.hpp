@@ -1,9 +1,13 @@
 // Truth-table oracle used by property tests: every BDD / SOP / network
 // operation is checked against brute-force enumeration over up to 20 inputs.
+// Also the guard tests use to run without the suite's node ceiling.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -96,6 +100,26 @@ class TruthTable {
 
   unsigned n_;
   std::vector<bool> bits_;
+};
+
+/// Unsets BDS_NODE_LIMIT for its lifetime and restores it after, so a run
+/// that sets no ceiling has none at all (the variable is the suite's
+/// safety net, and CI runs the suite under it). Tests that pin unbudgeted
+/// output scope one.
+class NoEnvNodeLimit {
+ public:
+  NoEnvNodeLimit() {
+    if (const char* v = std::getenv("BDS_NODE_LIMIT")) saved_ = v;
+    unsetenv("BDS_NODE_LIMIT");
+  }
+  ~NoEnvNodeLimit() {
+    if (saved_) setenv("BDS_NODE_LIMIT", saved_->c_str(), 1);
+  }
+  NoEnvNodeLimit(const NoEnvNodeLimit&) = delete;
+  NoEnvNodeLimit& operator=(const NoEnvNodeLimit&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 }  // namespace bds::test

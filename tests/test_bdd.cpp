@@ -1,7 +1,7 @@
 // Unit and property tests for the ROBDD package: canonicity, the full
 // operator set checked against a truth-table oracle, reference counting,
-// garbage collection, restrict semantics, inter-manager transfer, and
-// reset.
+// garbage collection, restrict semantics, cone record/replay between
+// managers, and reset.
 #include "bdd/bdd.hpp"
 
 #include <gtest/gtest.h>
@@ -249,9 +249,9 @@ TEST(BddGc, PeakStatsAreMonotone) {
   EXPECT_LE(s2.live_nodes, s1.live_nodes);
 }
 
-// ---- transfer ("BDD mapping", Section IV-B) ----------------------------------
+// ---- cone images ("BDD mapping", Section IV-B) -------------------------------
 
-TEST(BddTransfer, TransfersWithVariableRemap) {
+TEST(BddConeImage, ReplaysWithVariableRemap) {
   Manager src(6);
   Rng rng(23);
   const TruthTable t = TruthTable::random(6, rng);
@@ -260,7 +260,9 @@ TEST(BddTransfer, TransfersWithVariableRemap) {
   Manager dst(6);
   // Reverse variable identity: src var v becomes dst var 5 - v.
   const std::vector<Var> map{5, 4, 3, 2, 1, 0};
-  const Bdd g = dst.wrap(src.transfer_to(dst, f.edge(), map));
+  ConeImage image;
+  src.record(f.edge(), map, image);
+  const Bdd g = dst.wrap(dst.replay(image));
   for (std::size_t row = 0; row < t.rows(); ++row) {
     const auto a = t.assignment(row);
     std::vector<bool> permuted(6);
@@ -270,7 +272,7 @@ TEST(BddTransfer, TransfersWithVariableRemap) {
   EXPECT_TRUE(dst.check_consistency());
 }
 
-TEST(BddTransfer, CompactsUnusedVariables) {
+TEST(BddConeImage, CompactsUnusedVariables) {
   // The paper's bddPool: a function of vars {10, 20} moves into a manager
   // with just 2 variables.
   Manager src(32);
@@ -279,7 +281,10 @@ TEST(BddTransfer, CompactsUnusedVariables) {
   std::vector<Var> map(32, 0);
   map[10] = 0;
   map[20] = 1;
-  const Bdd g = dst.wrap(src.transfer_to(dst, f.edge(), map));
+  ConeImage image;
+  src.record(f.edge(), map, image);
+  EXPECT_EQ(image.nodes.size(), 2u);
+  const Bdd g = dst.wrap(dst.replay(image));
   EXPECT_EQ(g.size(), 3u);
   EXPECT_TRUE(g.eval({true, false}));
   EXPECT_FALSE(g.eval({true, true}));

@@ -1,4 +1,4 @@
-// Deep-BDD stress tests (PR 2): the structural queries and transfer are
+// Deep-BDD stress tests: the structural queries and cone records are
 // explicit-stack iterations with generation-stamped visited marks, so a
 // ~100k-node chain -- which overflowed the C stack under the old
 // std::function recursion and allocated a fresh hash set per call -- must
@@ -67,16 +67,19 @@ TEST(BddStress, DeepParityChainWithComplementEdges) {
   EXPECT_EQ(mgr.size(e), kVars + 1);
 }
 
-TEST(BddStress, DeepChainTransfersBetweenManagers) {
+TEST(BddStress, DeepChainReplaysBetweenManagers) {
   Manager src(kChainVars);
   const Edge e = build_and_chain(src, kChainVars);
 
   Manager dst(kChainVars);
   std::vector<Var> identity(kChainVars);
   for (std::uint32_t v = 0; v < kChainVars; ++v) identity[v] = v;
-  const Edge t = src.transfer_to(dst, e, identity);
+  ConeImage image;
+  src.record(e, identity, image);
+  EXPECT_EQ(image.nodes.size(), kChainVars);
+  const Edge t = dst.replay(image);
   EXPECT_EQ(dst.size(t), kChainVars + 1);
-  // Canonical form: the transferred function is the chain built in dst.
+  // Canonical form: the replayed function is the chain built in dst.
   EXPECT_EQ(t, build_and_chain(dst, kChainVars));
 }
 

@@ -237,6 +237,28 @@ TEST(Degradation, ExpiredDeadlineStillCompletesEquivalently) {
   EXPECT_EQ(cec.status, verify::CecStatus::kEquivalent) << cec.failing_output;
 }
 
+TEST(Degradation, FullSimplifyStopsAtTheRunsDeadline) {
+  // full_simplify builds global BDDs in a manager of its own; the run's
+  // budget has to reach that manager too. On a trip the pass keeps the
+  // nodes it rewrote so far, which is equivalent wherever it stops.
+  const net::Network input = gen::alu(4);
+  net::Network net = input;
+  opt::PipelineOptions popts;
+  popts.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const opt::PipelineStats ps =
+      opt::PassManager::from_script("rugged").run(net, popts);
+  bool found = false;
+  for (const opt::PassStats& p : ps.passes) {
+    if (p.name != "full_simplify") continue;
+    found = true;
+    EXPECT_GT(p.counter("degraded"), 0.0);
+    EXPECT_EQ(p.outcome, opt::PassStats::Outcome::kDegraded);
+  }
+  EXPECT_TRUE(found);
+  const verify::CecResult cec = verify::check_equivalence(input, net);
+  EXPECT_EQ(cec.status, verify::CecStatus::kEquivalent) << cec.failing_output;
+}
+
 TEST(Degradation, EnvNodeLimitActsAsDefaultBudget) {
   ASSERT_EQ(setenv("BDS_NODE_LIMIT", "4", 1), 0);
   const net::Network input = gen::ripple_adder(8);

@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -24,10 +22,13 @@
 #include "opt/result_cache.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
+#include "oracle.hpp"
 #include "verify/cec.hpp"
 
 namespace bds::opt {
 namespace {
+
+using test::NoEnvNodeLimit;
 
 std::vector<net::Network> families() {
   std::vector<net::Network> circuits;
@@ -38,6 +39,8 @@ std::vector<net::Network> families() {
   circuits.push_back(gen::hamming_corrector(3));
   circuits.push_back(gen::comparator(6));
   circuits.push_back(gen::random_control(10, 6, 8, 42));
+  // ~200 distinct leaders: many cones decompose at once at -j4 and -j8.
+  circuits.push_back(gen::random_multilevel(64, 40, 60, 32, 7919));
   return circuits;
 }
 
@@ -200,61 +203,46 @@ TEST(ParallelDecompose, ConeLeasesEndBeforeTheMerge) {
   }
 }
 
-/// The key bds_decompose gives supernode `s` at default options: the
-/// canonical hash of its function in the partition manager, each partition
-/// variable relabelled to its input position.
-std::uint64_t partition_key(const BdsFlowState& st, std::size_t s) {
+/// The image bds_decompose records for supernode `s`: its function in the
+/// partition manager, each partition variable relabelled to its input
+/// position.
+bdd::ConeImage partition_image(const BdsFlowState& st, std::size_t s) {
   const core::Supernode& sn = st.part.supernodes[s];
   std::vector<bdd::Var> position(st.pmgr->num_vars(), core::kNoVar);
   for (std::uint32_t i = 0; i < sn.inputs.size(); ++i) {
     position[st.part.var_of[sn.inputs[i]]] = i;
   }
+  bdd::ConeImage image;
+  st.pmgr->record(sn.func.edge(), position, image);
+  return image;
+}
+
+/// The key bds_decompose gives supernode `s` at default options.
+std::uint64_t partition_key(const BdsFlowState& st, std::size_t s) {
   return decompose_cache_key(
-      core::canonical_function_hash(*st.pmgr, sn.func.edge(), position),
+      core::canonical_function_hash(partition_image(st, s)),
       core::DecomposeOptions{}, true,
-      static_cast<std::uint32_t>(sn.inputs.size()));
+      static_cast<std::uint32_t>(st.part.supernodes[s].inputs.size()));
 }
 
 /// The key of the same supernode computed the way the result cache keyed
-/// it before any in-run memo: after transferring the function into a
-/// compact manager over variables 0..k-1.
+/// it before any in-run memo: after rebuilding the function in a compact
+/// manager over variables 0..k-1 and recording it there.
 std::uint64_t compact_key(const BdsFlowState& st, std::size_t s) {
-  const core::Supernode& sn = st.part.supernodes[s];
-  const auto k = static_cast<std::uint32_t>(sn.inputs.size());
-  std::vector<bdd::Var> var_map(st.pmgr->num_vars(), core::kNoVar);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    var_map[st.part.var_of[sn.inputs[i]]] = i;
-  }
+  const auto k =
+      static_cast<std::uint32_t>(st.part.supernodes[s].inputs.size());
   bdd::Manager compact(k);
-  const bdd::Bdd f =
-      compact.wrap(st.pmgr->transfer_to(compact, sn.func.edge(), var_map));
-  return decompose_cache_key(core::canonical_function_hash(compact, f.edge()),
+  const bdd::Bdd f = compact.wrap(compact.replay(partition_image(st, s)));
+  bdd::ConeImage image;
+  compact.record(f.edge(), {}, image);
+  return decompose_cache_key(core::canonical_function_hash(image),
                              core::DecomposeOptions{}, true, k);
 }
 
-/// Unsets BDS_NODE_LIMIT for its lifetime and restores it after, so a run
-/// that sets no ceiling has none at all (the variable is the suite's
-/// safety net, and CI runs the suite under it).
-class NoEnvNodeLimit {
- public:
-  NoEnvNodeLimit() {
-    if (const char* v = std::getenv("BDS_NODE_LIMIT")) saved_ = v;
-    unsetenv("BDS_NODE_LIMIT");
-  }
-  ~NoEnvNodeLimit() {
-    if (saved_) setenv("BDS_NODE_LIMIT", saved_->c_str(), 1);
-  }
-  NoEnvNodeLimit(const NoEnvNodeLimit&) = delete;
-  NoEnvNodeLimit& operator=(const NoEnvNodeLimit&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
-
 TEST(ConeMemo, PartitionKeyEqualsTheCompactManagerKey) {
   // The key is computed before any lease, in the partition manager; it has
-  // to be the key the transferred cone would get, or warm cache entries
-  // and in-run leaders would diverge from what a compact manager holds.
+  // to be the key the replayed cone would get, or warm cache entries and
+  // in-run leaders would diverge from what a compact manager holds.
   std::vector<net::Network> circuits;
   circuits.push_back(gen::array_multiplier(16));
   circuits.push_back(gen::hamming_corrector(6));
@@ -275,6 +263,42 @@ TEST(ConeMemo, PartitionKeyEqualsTheCompactManagerKey) {
   }
 }
 
+TEST(ConeMemo, ImageDigestsArePinned) {
+  // The digest of a recorded image feeds the same bytes the partition
+  // manager's post-order walk fed before images existed: these values were
+  // printed by that walk. A change here invalidates every cached key.
+  struct Pin {
+    std::size_t supernode;
+    std::uint64_t digest;
+  };
+  struct Case {
+    net::Network net;
+    std::vector<Pin> pins;
+  };
+  std::vector<Case> cases;
+  cases.push_back({gen::array_multiplier(16),
+                   {{1, 0x78c2dde07d559009ull},
+                    {228, 0xde04812b44b6864full},
+                    {456, 0x684fb1784efe35c8ull}}});
+  cases.push_back({gen::hamming_corrector(6),
+                   {{0, 0x49338dac8126e5e4ull},
+                    {33, 0xb4c62793ca0e994eull},
+                    {66, 0x38b5026e204d6e0eull}}});
+  const NoEnvNodeLimit unlimited;
+  for (Case& c : cases) {
+    PassContext ctx;
+    PassManager::from_script("sweep; bds_partition").run(c.net, {}, ctx);
+    const BdsFlowState& st = ctx.state<BdsFlowState>();
+    for (const Pin& p : c.pins) {
+      ASSERT_LT(p.supernode, st.part.supernodes.size()) << c.net.name();
+      EXPECT_EQ(
+          core::canonical_function_hash(partition_image(st, p.supernode)),
+          p.digest)
+          << c.net.name() << " supernode " << p.supernode;
+    }
+  }
+}
+
 /// What one run_memo observed.
 struct MemoRun {
   std::string blif;
@@ -286,7 +310,7 @@ struct MemoRun {
 
 /// One `bds` run under a node ceiling (0 = none): on the whole flow, like
 /// `optimize_blif -node-limit`, or -- `cones_only` -- on everything after
-/// an unbudgeted partition, so a tight ceiling trips cone transfers and
+/// an unbudgeted partition, so a tight ceiling trips cone replays and
 /// decompositions (degraded leaders) rather than the partition.
 MemoRun run_memo(const net::Network& input, unsigned jobs,
                  std::size_t node_limit, bool cones_only) {
@@ -346,7 +370,7 @@ TEST(ConeMemo, LeadersAndFollowersAreByteIdenticalAtEveryJobCount) {
       const MemoRun serial = run_memo(input, 1, b.node_limit, b.cones_only);
       const double repeats = serial.decompose.counter("cone_repeats");
       // Followers never lease: only leaders open a decompose epoch (a
-      // leader whose transfer trips opens none either).
+      // leader whose replay trips opens none either).
       EXPECT_LE(static_cast<double>(serial.epoch_decompose),
                 static_cast<double>(serial.supernodes) - repeats)
           << what;
@@ -377,9 +401,9 @@ TEST(ConeMemo, LeadersAndFollowersAreByteIdenticalAtEveryJobCount) {
 
 TEST(ParallelDecompose, MissingPartitionVariableIsDiagnosed) {
   // A supernode input with no partition variable must be reported, not
-  // silently aliased onto variable 0 (the pre-fix behaviour). In a
-  // parallel run the error is raised on whichever executor stages that
-  // cone and rethrown by the pass after the loop; the pool stays usable.
+  // silently aliased onto variable 0 (the pre-fix behaviour). Staging is
+  // serial, so the error is raised before any cone is leased at every -j,
+  // and the pool stays usable afterwards.
   // The check runs before the cone's role is decided, so a corrupted
   // follower -- a cone that would reuse an earlier cone's result -- is
   // diagnosed too.

@@ -31,6 +31,13 @@ using core::DecomposeStats;
 using core::FactId;
 using core::FactoringForest;
 
+/// The digest of `e`'s cone, recorded with no relabelling.
+std::uint64_t hash_of(const Manager& mgr, Edge e) {
+  bdd::ConeImage image;
+  mgr.record(e, {}, image);
+  return core::canonical_function_hash(image);
+}
+
 TEST(CanonicalFunctionHash, IndependentOfManagerAndBuildOrder) {
   // Same function, three different construction histories: a fresh
   // manager, a manager with unrelated junk built first (different node
@@ -42,20 +49,18 @@ TEST(CanonicalFunctionHash, IndependentOfManagerAndBuildOrder) {
   const Bdd junk = m2.var(3) ^ m2.var(1);  // shifts node indices
   const Bdd f2 = (m2.var(2) & m2.var(3)) | (m2.var(0) & m2.var(1));
 
-  const std::uint64_t h1 = core::canonical_function_hash(m1, f1.edge());
-  const std::uint64_t h2 = core::canonical_function_hash(m2, f2.edge());
+  const std::uint64_t h1 = hash_of(m1, f1.edge());
+  const std::uint64_t h2 = hash_of(m2, f2.edge());
   EXPECT_EQ(h1, h2);
 
   // Different function and complemented root both change the digest.
   const Bdd g = (m1.var(0) & m1.var(1)) | (m1.var(2) & m1.var(2));
-  EXPECT_NE(core::canonical_function_hash(m1, g.edge()), h1);
-  EXPECT_NE(core::canonical_function_hash(m1, !f1.edge()), h1);
+  EXPECT_NE(hash_of(m1, g.edge()), h1);
+  EXPECT_NE(hash_of(m1, !f1.edge()), h1);
 
   // Constants hash consistently and distinctly.
-  EXPECT_EQ(core::canonical_function_hash(m1, Edge::one()),
-            core::canonical_function_hash(m2, Edge::one()));
-  EXPECT_NE(core::canonical_function_hash(m1, Edge::one()),
-            core::canonical_function_hash(m1, Edge::zero()));
+  EXPECT_EQ(hash_of(m1, Edge::one()), hash_of(m2, Edge::one()));
+  EXPECT_NE(hash_of(m1, Edge::one()), hash_of(m1, Edge::zero()));
 }
 
 TEST(DecomposeCacheKey, SensitiveToEveryOptionButNotJobs) {
@@ -93,13 +98,13 @@ TEST(ResultCache, SkippedSupernodesKeepTheHitRateDenominatorExact) {
   // always equals the supernode count -- the denominator never silently
   // drifts. The lookup comes before the lease, so the cones that degrade
   // before it are those of a partition the budget reduced to one
-  // supernode per node; a cone whose transfer trips has been looked up
+  // supernode per node; a cone whose replay trips has been looked up
   // and is a miss.
   double total_skipped = 0.0;
   for (net::Network& input :
        std::vector<net::Network>{gen::parity_tree(24), gen::alu(4)}) {
     PipelineOptions popts;
-    popts.node_limit = 12;  // trips the partition and big transfers alike
+    popts.node_limit = 12;  // trips the partition and big replays alike
     popts.result_cache = std::make_shared<ResultCache>();
     for (const bool budgeted_partition : {false, true}) {
       net::Network net = input;

@@ -1,12 +1,15 @@
 // ThreadPool unit tests: full index coverage, per-executor isolation,
-// reuse across jobs, exception propagation, the -j resolution rule, the
-// submit/Batch/wait primitives parallel_for builds on.
+// reuse across loops, exception propagation, the -j resolution rule, pool
+// growth, and concurrent loops on one pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -20,7 +23,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
     EXPECT_EQ(pool.workers(), workers);
     constexpr std::size_t kN = 10'000;
     std::vector<std::atomic<int>> hits(kN);
-    pool.parallel_for(kN, [&](std::size_t i, unsigned executor) {
+    pool.parallel_for(kN, workers, [&](std::size_t i, unsigned executor) {
       ASSERT_LT(executor, workers);
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
@@ -34,7 +37,7 @@ TEST(ThreadPool, PerExecutorAccumulatorsNeedNoSharing) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 4096;
   std::vector<std::uint64_t> per_executor(pool.workers(), 0);
-  pool.parallel_for(kN, [&](std::size_t i, unsigned executor) {
+  pool.parallel_for(kN, 4, [&](std::size_t i, unsigned executor) {
     per_executor[executor] += i;  // disjoint per executor: no race
   });
   const std::uint64_t total =
@@ -47,7 +50,7 @@ TEST(ThreadPool, PoolIsReusableAcrossJobs) {
   ThreadPool pool(3);
   std::atomic<std::size_t> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(100, [&](std::size_t, unsigned) {
+    pool.parallel_for(100, 3, [&](std::size_t, unsigned) {
       total.fetch_add(1, std::memory_order_relaxed);
     });
   }
@@ -58,7 +61,7 @@ TEST(ThreadPool, FirstBodyExceptionIsRethrownAfterDraining) {
   ThreadPool pool(4);
   std::atomic<std::size_t> ran{0};
   EXPECT_THROW(
-      pool.parallel_for(64,
+      pool.parallel_for(64, 4,
                         [&](std::size_t i, unsigned) {
                           ran.fetch_add(1, std::memory_order_relaxed);
                           if (i == 13) throw std::runtime_error("boom");
@@ -68,7 +71,7 @@ TEST(ThreadPool, FirstBodyExceptionIsRethrownAfterDraining) {
   // the pool must remain usable afterwards.
   EXPECT_EQ(ran.load(), 64u);
   std::atomic<std::size_t> after{0};
-  pool.parallel_for(8, [&](std::size_t, unsigned) {
+  pool.parallel_for(8, 4, [&](std::size_t, unsigned) {
     after.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(after.load(), 8u);
@@ -83,120 +86,101 @@ TEST(ThreadPool, ResolveMapsZeroToHardware) {
 TEST(ThreadPool, SingleWorkerRunsInOrderOnCaller) {
   ThreadPool pool(1);
   std::vector<std::size_t> order;
-  pool.parallel_for(16, [&](std::size_t i, unsigned executor) {
+  pool.parallel_for(16, 1, [&](std::size_t i, unsigned executor) {
     EXPECT_EQ(executor, 0u);
     order.push_back(i);  // serial path: no synchronization needed
   });
   ASSERT_EQ(order.size(), 16u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(pool.workers(), 1u);
 }
 
-TEST(ThreadPool, SubmitRunsEveryJobAndWaitBlocks) {
-  ThreadPool pool(4);
-  ThreadPool::Batch batch;
-  std::atomic<std::size_t> ran{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit(batch, [&](unsigned executor) {
-      EXPECT_LT(executor, 4u);
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait(batch);
-  EXPECT_EQ(ran.load(), 200u);
+TEST(ThreadPool, SharedPoolStartsWithoutThreads) {
+  // Nothing in this binary runs a loop on the shared pool, so it still has
+  // only its caller: a -j 1 process spawns no thread.
+  EXPECT_EQ(ThreadPool::shared().workers(), 1u);
 }
 
-TEST(ThreadPool, WaitReclaimsJobsOnSingleWorkerPool) {
-  // A 1-worker pool has no threads at all: submitted jobs can only run
-  // when wait() reclaims them onto the calling thread. If reclaim were
-  // missing this test would deadlock.
-  ThreadPool pool(1);
-  ThreadPool::Batch batch;
-  std::vector<unsigned> executors;
-  for (int i = 0; i < 16; ++i) {
-    pool.submit(batch, [&](unsigned executor) {
-      executors.push_back(executor);
-    });
-  }
-  pool.wait(batch);
-  ASSERT_EQ(executors.size(), 16u);
-  for (const unsigned e : executors) EXPECT_EQ(e, 0u);  // all reclaimed
-}
-
-TEST(ThreadPool, WaitRethrowsFirstSubmittedJobException) {
-  ThreadPool pool(2);
-  ThreadPool::Batch batch;
-  std::atomic<std::size_t> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit(batch, [&, i](unsigned) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 7) throw std::runtime_error("submitted job failed");
-    });
-  }
-  EXPECT_THROW(pool.wait(batch), std::runtime_error);
-  EXPECT_EQ(ran.load(), 32u);  // an exception never cancels sibling jobs
-}
-
-TEST(ThreadPool, BatchIsReusableAcrossWaitRounds) {
-  ThreadPool pool(3);
-  ThreadPool::Batch batch;
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 25; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit(batch, [&](unsigned) {
-        total.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait(batch);
-  }
-  EXPECT_EQ(total.load(), 500u);
-}
-
-TEST(ThreadPool, EnsureWorkersGrowsAndNeverShrinks) {
+TEST(ThreadPool, LoopsGrowThePoolAndNeverShrinkIt) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.workers(), 1u);
-  pool.ensure_workers(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  pool.ensure_workers(2);  // shrinking is not supported: no-op
-  EXPECT_EQ(pool.workers(), 4u);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t i, unsigned executor) {
+  pool.parallel_for(hits.size(), 4, [&](std::size_t i, unsigned executor) {
     ASSERT_LT(executor, 4u);
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.workers(), 4u);
+  // A narrower loop uses at most its own width and leaves the pool as is.
+  pool.parallel_for(hits.size(), 2, [&](std::size_t i, unsigned executor) {
+    ASSERT_LT(executor, 2u);
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 2);
+  EXPECT_EQ(pool.workers(), 4u);
+}
+
+TEST(ThreadPool, ExecutorsNeverExceedTheIndexCount) {
+  ThreadPool pool(8);
+  std::vector<std::atomic<int>> hits(3);
+  pool.parallel_for(hits.size(), 8, [&](std::size_t i, unsigned executor) {
+    ASSERT_LT(executor, 3u);
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, PoolSurvivesReuseAcrossPassLikeRounds) {
-  // The daemon regression this PR fixes: one pool serving many independent
-  // "passes", each with its own batch, with no thread churn in between.
-  ThreadPool pool(4);
-  for (int pass = 0; pass < 10; ++pass) {
-    ThreadPool::Batch batch;
-    std::atomic<std::size_t> ran{0};
-    for (int j = 0; j < 50; ++j) {
-      pool.submit(batch, [&](unsigned) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait(batch);
-    EXPECT_EQ(ran.load(), 50u) << "pass " << pass;
+TEST(ThreadPool, DrainedLoopNeverWaitsOnAnotherLoopsWork) {
+  // The first loop holds both executors of a 2-executor pool: its caller
+  // and the pool's one thread block in its bodies. A second loop on
+  // another thread finds no free helper, runs all of its indices on its
+  // own caller and returns while the first loop is still blocked.
+  ThreadPool pool(2);
+  std::latch entered(2);
+  std::latch release(1);
+  std::thread holder([&] {
+    pool.parallel_for(2, 2, [&](std::size_t, unsigned) {
+      entered.count_down();
+      release.wait();
+    });
+  });
+  entered.wait();
+  std::vector<unsigned> executors;
+  std::atomic<bool> returned{false};
+  std::thread second([&] {
+    pool.parallel_for(4, 2, [&](std::size_t, unsigned executor) {
+      executors.push_back(executor);  // only this caller runs the loop
+    });
+    returned.store(true, std::memory_order_release);
+  });
+  // Bounded wait, so a regression fails here instead of hanging the suite.
+  for (int i = 0; i < 1000 && !returned.load(std::memory_order_acquire);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  EXPECT_TRUE(returned.load(std::memory_order_acquire))
+      << "the second loop waited for the first";
+  release.count_down();
+  second.join();
+  holder.join();
+  ASSERT_EQ(executors.size(), 4u);
+  for (const unsigned e : executors) EXPECT_EQ(e, 0u);
 }
 
 TEST(ThreadPool, ManyShortParallelForRoundsOnOnePool) {
-  // Each parallel_for round keeps its Batch on the caller's stack, and the
-  // caller returns -- destroying it -- the moment the last job is done.
-  // The finishing worker must not touch the batch after that point (it
-  // once notified the batch's condition variable after unlocking its
-  // mutex, a use-after-scope TSan reports). Rounds are long enough that
-  // the pool threads, not just the caller, finish jobs.
+  // Each parallel_for round keeps its loop record on the caller's stack,
+  // and the caller returns -- destroying it -- the moment the last helper
+  // leaves. The leaving helper must not touch the record after that point
+  // (notifying its condition variable after unlocking the mutex would be a
+  // use-after-scope TSan reports). Rounds are long enough that the pool
+  // threads, not just the caller, run indices.
   ThreadPool pool(4);
   constexpr int kRounds = 20000;
   constexpr std::size_t kIndices = 64;
   std::size_t total = 0;
   for (int round = 0; round < kRounds; ++round) {
     std::atomic<std::size_t> ran{0};
-    pool.parallel_for(kIndices, [&](std::size_t, unsigned) {
+    pool.parallel_for(kIndices, 4, [&](std::size_t, unsigned) {
       ran.fetch_add(1, std::memory_order_relaxed);
     });
     total += ran.load();
