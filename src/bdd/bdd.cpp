@@ -161,6 +161,7 @@ void Manager::reset(std::size_t cache_entries) {
   } else {
     cache_.assign(initial_cache_entries_, CacheEntry{});
   }
+  cache_empty_ = true;
   cache_lookups_at_resize_ = 0;
   cache_hits_at_resize_ = 0;
   gc_threshold_ = 1u << 14;
@@ -172,6 +173,7 @@ void Manager::reset(std::size_t cache_entries) {
   shrink(var_visit_);
   shrink(scratch_num_);
   shrink(node_scratch_);
+  shrink(killed_);
   // Re-seed the pinned terminal, exactly as the constructor does.
   vars_.push_back(kVarTerminal);
   thens_.push_back(Edge::one());
@@ -356,11 +358,6 @@ void Manager::deref(Edge e) {
 }
 
 void Manager::gc() {
-  ++stats_.gc_runs;
-  // Sweep dead nodes; freeing one may kill its children, so iterate to a
-  // fixed point. A worklist seeded from all currently-dead nodes suffices
-  // because deref() on a child only ever transitions live -> dead here.
-  //
   // Seed by walking the unique-subtable chains: every allocated node is
   // chained, so the chains are exactly the free-list complement, and a
   // churned arena (mostly free slots) no longer pays a full-arena scan.
@@ -377,6 +374,16 @@ void Manager::gc() {
     }
   }
   std::sort(dead.begin(), dead.end());
+  // Every dead node is found by the walk, so the swap kill list is spent.
+  killed_.clear();
+  reclaim(dead);
+}
+
+void Manager::reclaim(std::vector<std::uint32_t>& dead) {
+  ++stats_.gc_runs;
+  // Sweep dead nodes; freeing one may kill its children, so iterate to a
+  // fixed point. A worklist seeded from all currently-dead nodes suffices
+  // because deref() on a child only ever transitions live -> dead here.
   std::size_t freed = 0;
   while (!dead.empty()) {
     const std::uint32_t idx = dead.back();
@@ -494,6 +501,7 @@ void Manager::cache_store(CacheOp op, Edge f, Edge g, Edge h, Edge result) {
   set[0].key_lo = key_lo;
   set[0].key_hi = key_hi;
   set[0].result = result;
+  cache_empty_ = false;
 }
 
 void Manager::check_cache_entries(const char* op, std::size_t entries) {
@@ -503,7 +511,11 @@ void Manager::check_cache_entries(const char* op, std::size_t entries) {
 }
 
 void Manager::cache_clear() {
+  // Sifting collects after every variable, mostly with nothing cached since
+  // the previous collection: skip refilling a table that is already empty.
+  if (cache_empty_) return;
   std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  cache_empty_ = true;
 }
 
 void Manager::cache_maybe_grow() {

@@ -321,6 +321,9 @@ class Manager {
   [[nodiscard]] bool is_terminal(std::uint32_t node) const {
     return node == 0;
   }
+  /// Arena slots on the free list (arena_size() minus this is the number
+  /// of chained nodes plus the terminal).
+  [[nodiscard]] std::size_t free_slots() const { return free_list_.size(); }
 
   // ----- reference counting / garbage collection ----------------------------
 
@@ -357,8 +360,12 @@ class Manager {
   /// Rudell sifting over all variables. External `Bdd` handles stay valid
   /// (node identities are preserved or transferred in place).
   void reorder_sift();
-  /// Swaps the variables at levels `level` and `level + 1`.
+  /// Swaps the variables at levels `level` and `level + 1`. Children the
+  /// swap kills are listed for reorder_sift()'s collection between sifts.
   void swap_levels(std::uint32_t level);
+  /// Entries on that kill list; gc(), reorder_sift() and set_order() leave
+  /// it empty. Test-only.
+  [[nodiscard]] std::size_t pending_kills() const { return killed_.size(); }
   /// Installs an explicit order (permutation of all vars) by bubble swaps.
   void set_order(const std::vector<Var>& order);
 
@@ -473,6 +480,16 @@ class Manager {
   // Reordering internals (bdd/reorder.cpp).
   std::uint32_t subtable_live(Var v) const;
   void sift_var(Var v);
+  /// deref() for a child swap_levels() lets go of: a child it kills joins
+  /// `killed_`.
+  void release_child(Edge e);
+  /// The collection between sifts: reclaims from `killed_` instead of
+  /// walking every subtable, with gc()'s seed list and effects.
+  void collect_killed();
+  /// gc()'s sweep from a sorted seed list of dead nodes (consumed): frees
+  /// them and every node they alone kept alive, clears the computed table
+  /// if any node was freed, and counts one gc run.
+  void reclaim(std::vector<std::uint32_t>& dead);
 
   // Struct-of-arrays node store, indexed by node index. The four permanent
   // arrays total kNodeStoreBytesPerNode (16) bytes per slot; `refs_` adds
@@ -495,6 +512,9 @@ class Manager {
   std::size_t initial_cache_entries_ = kCacheInitialEntries;
   std::size_t cache_lookups_at_resize_ = 0;  ///< Window start (growth policy).
   std::size_t cache_hits_at_resize_ = 0;
+  /// No entry stored since the table was last filled empty: cache_clear()
+  /// has nothing to do.
+  bool cache_empty_ = true;
   std::size_t gc_threshold_ = 1u << 14;
   /// Total bytes of all subtable bucket arrays, maintained incrementally so
   /// update_memory_stats() stays O(1) on the per-operation hot path.
@@ -518,6 +538,10 @@ class Manager {
   mutable std::vector<std::uint32_t> scratch_num_; ///< record's post-order ids
   /// Node-index worklist of gc() and swap_levels() (never both at once).
   std::vector<std::uint32_t> node_scratch_;
+  /// Nodes whose count swap_levels() dropped to 0 since the last gc()
+  /// (duplicates and revived nodes included); reorder_sift() collects from
+  /// it between sifts, and set_order() drops it.
+  std::vector<std::uint32_t> killed_;
 };
 
 /// RAII handle to a BDD function: owns one external reference.

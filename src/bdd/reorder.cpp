@@ -5,7 +5,8 @@
 // The swap rewrites the nodes of the upper variable in place, so node
 // identities -- and therefore all outstanding `Bdd` handles and cached
 // results -- remain valid: a node keeps denoting the same Boolean function
-// throughout reordering.
+// throughout reordering. Between sifts the manager collects only the nodes
+// the swaps killed (collect_killed), not the whole table.
 #include <algorithm>
 #include <cassert>
 #include <numeric>
@@ -25,44 +26,59 @@ std::uint32_t Manager::subtable_live(Var v) const {
   return live;
 }
 
+void Manager::release_child(Edge e) {
+  deref(e);
+  if (refs_[e.node()] == 0) killed_.push_back(e.node());
+}
+
+void Manager::collect_killed() {
+  // Between sifts the nodes swap_levels() killed are the only dead nodes
+  // (reorder_sift() starts from a full gc()), so they are exactly the seeds
+  // a bucket walk would find. Filtered to the ones still dead and chained
+  // (about half were revived by later swaps), sorted and deduplicated, they are
+  // the same sorted seed list, and the collection frees the same nodes in
+  // the same order as gc().
+  std::vector<std::uint32_t>& dead = node_scratch_;
+  dead.clear();
+  for (const std::uint32_t i : killed_) {
+    if (vars_[i] != kVarTerminal && refs_[i] == 0) dead.push_back(i);
+  }
+  killed_.clear();
+  std::sort(dead.begin(), dead.end());
+  dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+  reclaim(dead);
+}
+
 void Manager::swap_levels(std::uint32_t level) {
   assert(level + 1 < num_vars());
   const Var x = level2var_[level];      // upper variable, moves down
   const Var y = level2var_[level + 1];  // lower variable, moves up
 
-  // Collect all nodes currently labelled x and empty its subtable; the
-  // rewrite below re-creates x-nodes through mk(), which must not collide
-  // with stale chains.
+  // Unlink the x-nodes that have a y child: they are rewritten below, and
+  // the x-nodes mk() re-creates must not collide with their stale chains.
+  // The other x-nodes keep their structure and simply end up below y; their
+  // (x, hi, lo) triple, hence their bucket, is unchanged, so they stay
+  // chained where they are and mk() finds them during the rewrite.
   std::vector<std::uint32_t>& xs = node_scratch_;
   xs.clear();
   {
     Subtable& st = subtables_[x];
     for (std::uint32_t& head : st.buckets) {
-      for (std::uint32_t i = head; i != kNil;) {
-        const std::uint32_t next = nexts_[i];
-        nexts_[i] = kNil;
-        xs.push_back(i);
-        i = next;
+      for (std::uint32_t* link = &head; *link != kNil;) {
+        const std::uint32_t i = *link;
+        if (top_var(thens_[i]) == y || top_var(elses_[i]) == y) {
+          *link = nexts_[i];
+          nexts_[i] = kNil;
+          --st.count;
+          xs.push_back(i);
+        } else {
+          link = &nexts_[i];
+        }
       }
-      head = kNil;
-    }
-    st.count = 0;
-  }
-
-  // Pass 1: nodes independent of y keep their structure; they simply end up
-  // below y. Reinsert them first so mk() can find them during pass 2.
-  // The dependent nodes are compacted to the front of `xs`, in order.
-  std::size_t moving = 0;
-  for (const std::uint32_t i : xs) {
-    if (top_var(thens_[i]) == y || top_var(elses_[i]) == y) {
-      xs[moving++] = i;
-    } else {
-      unique_insert(i);
     }
   }
-  xs.resize(moving);
 
-  // Pass 2: rewrite each dependent node (x, F1, F0) into
+  // Rewrite each dependent node (x, F1, F0) into
   // (y, mk(x, F11, F01), mk(x, F10, F00)) in place.
   for (const std::uint32_t i : xs) {
     const Edge hi = thens_[i];  // regular by canonical form
@@ -89,8 +105,8 @@ void Manager::swap_levels(std::uint32_t level) {
     assert(!(new_hi == new_lo) && "swap produced a redundant node");
     ref(new_hi);
     ref(new_lo);
-    deref(thens_[i]);
-    deref(elses_[i]);
+    release_child(thens_[i]);
+    release_child(elses_[i]);
     vars_[i] = y;
     thens_[i] = new_hi;
     elses_[i] = new_lo;
@@ -178,7 +194,7 @@ void Manager::reorder_sift() {
         budget_check_slow();
       }
       sift_var(v);
-      gc();
+      collect_killed();
     }
     const std::size_t after = stats_.live_nodes;
     if (after * 50 >= before * 49) break;  // < 2% improvement: stop
@@ -218,6 +234,9 @@ void Manager::set_order(const std::vector<Var>& order) {
       --cur;
     }
   }
+  // The nodes the swaps killed wait for the next gc(), which finds them by
+  // its own walk.
+  killed_.clear();
 }
 
 }  // namespace bds::bdd

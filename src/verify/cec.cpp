@@ -15,17 +15,23 @@ using net::NodeId;
 
 namespace {
 
-/// Builds global BDDs for all outputs of a network, with PI variables
-/// assigned through `pi_var` (keyed by PI name).
+// The simulation step: 256 patterns (four 64-bit words per input) from a
+// fixed seed, so a check's verdict and counterexample are reproducible.
+constexpr std::size_t kSimulationVectors = 256;
+constexpr std::uint64_t kSimulationSeed = 1;
+
+/// Builds global BDDs for all outputs of a network along `order` (its
+/// topo_order()), with PI variables assigned through `pi_var` (keyed by PI
+/// name).
 std::unordered_map<std::string, Bdd> output_bdds(
-    const Network& net, Manager& mgr,
+    const Network& net, const std::vector<NodeId>& order, Manager& mgr,
     const std::unordered_map<std::string, bdd::Var>& pi_var,
     std::size_t max_live_nodes, std::size_t& reorder_at) {
   std::vector<Bdd> value(net.raw_size());
   for (const NodeId pi : net.inputs()) {
     value[pi] = mgr.var(pi_var.at(net.node(pi).name));
   }
-  for (const NodeId id : net.topo_order()) {
+  for (const NodeId id : order) {
     const net::Node& n = net.node(id);
     value[id] = sop::eval_cover(
         n.func, mgr.zero(), mgr.one(),
@@ -77,15 +83,19 @@ std::vector<bool> witness(const Manager& mgr, bdd::Edge e,
 CecResult check_equivalence(
     const Network& a, const Network& b, std::size_t max_live_nodes,
     std::shared_ptr<const util::ResourceBudget> budget) {
-  CecResult result;
-  // Input/output name sets must match.
-  if (a.num_inputs() != b.num_inputs() ||
-      a.num_outputs() != b.num_outputs()) {
-    result.status = CecStatus::kInequivalent;
-    result.failing_output = "<interface mismatch>";
-    return result;
+  // Step 1: refute by simulation before any manager exists. This also
+  // rejects interface (input/output name) mismatches, so the BDD step below
+  // sees matching name sets.
+  const std::vector<NodeId> order_a = a.topo_order();
+  const std::vector<NodeId> order_b = b.topo_order();
+  if (std::optional<CecResult> refuted =
+          find_mismatch(a, order_a, b, order_b, kSimulationVectors,
+                        kSimulationSeed)) {
+    return *std::move(refuted);
   }
 
+  // Step 2: global BDDs prove equivalence or refute what simulation missed.
+  CecResult result;
   Manager mgr;
   // A caller-supplied budget makes the verifier's own BDD work governable:
   // its node/byte ceilings and deadline surface as kAborted below, never as
@@ -95,30 +105,20 @@ CecResult check_equivalence(
   for (const NodeId pi : a.inputs()) {
     pi_var.emplace(a.node(pi).name, mgr.new_var());
   }
-  for (const NodeId pi : b.inputs()) {
-    if (!pi_var.contains(b.node(pi).name)) {
-      result.status = CecStatus::kInequivalent;
-      result.failing_output = "<input name mismatch: " + b.node(pi).name + ">";
-      return result;
-    }
-  }
 
   try {
     std::size_t reorder_at =
         std::min<std::size_t>(20'000, max_live_nodes / 8);
-    const auto fa = output_bdds(a, mgr, pi_var, max_live_nodes, reorder_at);
-    const auto fb = output_bdds(b, mgr, pi_var, max_live_nodes, reorder_at);
+    const auto fa =
+        output_bdds(a, order_a, mgr, pi_var, max_live_nodes, reorder_at);
+    const auto fb =
+        output_bdds(b, order_b, mgr, pi_var, max_live_nodes, reorder_at);
     for (const auto& [name, func_a] : fa) {
-      const auto it = fb.find(name);
-      if (it == fb.end()) {
-        result.status = CecStatus::kInequivalent;
-        result.failing_output = "<output name mismatch: " + name + ">";
-        return result;
-      }
-      if (!(func_a == it->second)) {
+      const Bdd& func_b = fb.at(name);
+      if (!(func_a == func_b)) {
         result.status = CecStatus::kInequivalent;
         result.failing_output = name;
-        const Bdd diff = func_a ^ it->second;
+        const Bdd diff = func_a ^ func_b;
         const std::vector<bool> w =
             witness(mgr, diff.edge(), mgr.num_vars());
         // Reorder the witness into a's input order.
@@ -130,8 +130,8 @@ CecResult check_equivalence(
       }
     }
   } catch (const BudgetExceeded&) {
-    // A trip degrades to kAborted (the caller's cue to fall back to random
-    // simulation).
+    // Step 3: a trip degrades to kAborted (the caller's cue to fall back to
+    // longer random simulation).
     result.status = CecStatus::kAborted;
     return result;
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd.hpp"
+#include "gen/gen.hpp"
+#include "net/network.hpp"
 #include "oracle.hpp"
+#include "sop/sop.hpp"
 #include "util/rng.hpp"
 
 namespace bds::bdd {
@@ -186,6 +189,88 @@ TEST(SetOrder, AcceptsEveryPermutationAndPreservesSemantics) {
                               (bits & 4) != 0};
     EXPECT_EQ(f.eval(a), (a[0] && a[1]) || a[2]);
   }
+  EXPECT_TRUE(mgr.check_consistency());
+}
+
+// ---- sifting decisions and the collection between sifts ---------------------
+
+/// Global BDDs of every output of `n`, input i as variable i, with no
+/// reordering during the build.
+std::vector<Bdd> output_bdds(Manager& mgr, const net::Network& n) {
+  std::vector<Bdd> value(n.raw_size());
+  for (std::size_t i = 0; i < n.num_inputs(); ++i) {
+    value[n.inputs()[i]] = mgr.var(static_cast<Var>(i));
+  }
+  for (const net::NodeId id : n.topo_order()) {
+    const net::Node& node = n.node(id);
+    value[id] = sop::eval_cover(
+        node.func, mgr.zero(), mgr.one(),
+        [&](unsigned i) -> const Bdd& { return value[node.fanins[i]]; });
+  }
+  std::vector<Bdd> outs;
+  for (const auto& [name, driver] : n.outputs()) outs.push_back(value[driver]);
+  return outs;
+}
+
+struct PinnedSift {
+  const char* name;
+  net::Network (*make)();
+  std::vector<Var> order;  ///< level2var after reorder_sift()
+  std::size_t live_nodes;
+  std::size_t gc_runs;  ///< the entry gc() plus one collection per sift
+};
+
+TEST(Sift, DecisionsArePinned) {
+  // The order sifting picks and the size it reaches, as recorded before the
+  // collection between sifts moved to the swap kill list and swaps stopped
+  // relinking independent nodes: both changes leave every live_nodes
+  // reading of a sift, hence every decision, as it was.
+  const std::vector<PinnedSift> cases = {
+      {"array_multiplier(5)", [] { return gen::array_multiplier(5); },
+       {4, 3, 2, 1, 0, 5, 9, 6, 7, 8}, 388, 21},
+      {"alu(4)", [] { return gen::alu(4); },
+       {0, 4, 1, 5, 2, 6, 3, 7, 8, 9}, 53, 21},
+      {"rotator(8)", [] { return gen::rotator(8); },
+       {10, 8, 11, 9, 0, 1, 4, 2, 5, 3, 6, 7}, 57, 25},
+  };
+  for (const PinnedSift& c : cases) {
+    const net::Network n = c.make();
+    Manager mgr(static_cast<std::uint32_t>(n.num_inputs()));
+    const std::vector<Bdd> outs = output_bdds(mgr, n);
+    mgr.reorder_sift();
+    std::vector<Var> order;
+    for (std::uint32_t l = 0; l < mgr.num_vars(); ++l) {
+      order.push_back(mgr.var_at_level(l));
+    }
+    EXPECT_EQ(order, c.order) << c.name;
+    EXPECT_EQ(mgr.live_nodes(), c.live_nodes) << c.name;
+    EXPECT_EQ(mgr.stats().gc_runs, c.gc_runs) << c.name;
+    EXPECT_TRUE(mgr.check_consistency()) << c.name;
+    EXPECT_EQ(mgr.pending_kills(), 0u) << c.name;
+    // The collection after the last sift left no dead node behind: a full
+    // gc() finds nothing to free.
+    const std::size_t chained = mgr.arena_size() - mgr.free_slots();
+    mgr.gc();
+    EXPECT_EQ(mgr.arena_size() - mgr.free_slots(), chained) << c.name;
+  }
+}
+
+TEST(SetOrder, RepeatedCallsDoNotGrowTheKillList) {
+  const net::Network n = gen::alu(4);
+  Manager mgr(static_cast<std::uint32_t>(n.num_inputs()));
+  const std::vector<Bdd> outs = output_bdds(mgr, n);
+  std::vector<Var> forward(mgr.num_vars());
+  for (Var v = 0; v < mgr.num_vars(); ++v) forward[v] = v;
+  const std::vector<Var> backward(forward.rbegin(), forward.rend());
+  for (int round = 0; round < 20; ++round) {
+    mgr.set_order(round % 2 == 0 ? backward : forward);
+    EXPECT_EQ(mgr.pending_kills(), 0u) << "round " << round;
+  }
+  EXPECT_TRUE(mgr.check_consistency());
+  // A direct swap lists what it kills; the next gc() spends the list.
+  for (int i = 0; i < 4; ++i) mgr.swap_levels(0);
+  mgr.gc();
+  EXPECT_EQ(mgr.pending_kills(), 0u);
   EXPECT_TRUE(mgr.check_consistency());
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/gen.hpp"
 #include "net/network.hpp"
 
 namespace bds::verify {
@@ -184,6 +185,69 @@ TEST(Simulate64, ConstantNodesSimulate) {
   const auto out = simulate64(k, {0xdeadbeef});
   EXPECT_EQ(out[0], ~0ULL);
   EXPECT_EQ(out[1], 0ULL);
+}
+
+TEST(Cec, SimulationRefutesWithoutBdds) {
+  // A mutation simulation exposes is refuted before any BDD is built: even
+  // a one-node ceiling, which aborts every BDD build, cannot stop it.
+  const Network a = bds::gen::alu(8);
+  Network b = a;
+  const NodeId driver = b.outputs().front().second;
+  const net::Node& node = b.node(driver);
+  b.rewrite_node(driver, node.fanins, node.func.complement());
+  const CecResult r = check_equivalence(a, b, /*max_live_nodes=*/1);
+  ASSERT_EQ(r.status, CecStatus::kInequivalent);
+  EXPECT_EQ(r.failing_output, a.outputs().front().first);
+  ASSERT_EQ(r.counterexample.size(), a.num_inputs());
+  EXPECT_NE(a.eval(r.counterexample), b.eval(r.counterexample));
+}
+
+TEST(Cec, RareMintermIsRefutedByBdds) {
+  // a and b differ on one minterm of 24 inputs, which the simulation step
+  // (256 vectors) misses; the BDD step must refute the pair and return
+  // exactly that minterm.
+  constexpr unsigned kInputs = 24;
+  std::string names;
+  for (unsigned i = 0; i < kInputs; ++i) names += " x" + std::to_string(i);
+  std::string minterm;
+  for (unsigned i = 0; i < kInputs; ++i) minterm += i % 3 == 0 ? '1' : '0';
+  const std::string head =
+      ".model m\n.inputs" + names + "\n.outputs o\n.names" + names + " o\n";
+  // b = x0 & x1; a = b | minterm, and the minterm has x1 = 0.
+  const std::string and01 = "11" + std::string(kInputs - 2, '-') + " 1\n";
+  const Network a = parse_blif_string(head + and01 + minterm + " 1\n.end\n");
+  const Network b = parse_blif_string(head + and01 + ".end\n");
+  ASSERT_TRUE(random_simulation_equal(a, b, 256, 1));
+  const CecResult r = check_equivalence(a, b);
+  ASSERT_EQ(r.status, CecStatus::kInequivalent);
+  EXPECT_EQ(r.failing_output, "o");
+  std::vector<bool> expected;
+  for (const char c : minterm) expected.push_back(c == '1');
+  EXPECT_EQ(r.counterexample, expected);
+}
+
+TEST(Simulate64, MismatchSearchMatchesNamesNotPositions) {
+  // b declares its inputs and outputs in another order; the mismatch is
+  // reported on a's output, with the counterexample in a's input order.
+  const Network a = parse_blif_string(
+      ".model a\n.inputs p q\n.outputs f g\n.names p q f\n11 1\n"
+      ".names p q g\n1- 1\n-1 1\n.end\n");
+  const Network b = parse_blif_string(
+      ".model b\n.inputs q p\n.outputs g f\n.names p q f\n11 1\n"
+      ".names p q g\n1- 1\n.end\n");
+  const auto m = find_mismatch(a, a.topo_order(), b, b.topo_order(), 64, 1);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->failing_output, "g");
+  ASSERT_EQ(m->counterexample.size(), 2u);
+  EXPECT_EQ(m->counterexample, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(random_simulation_equal(a, a, 64, 1));
+  const Network renamed = parse_blif_string(
+      ".model c\n.inputs p r\n.outputs f g\n.names p r f\n11 1\n"
+      ".names p r g\n1- 1\n-1 1\n.end\n");
+  const auto n = find_mismatch(a, a.topo_order(), renamed,
+                               renamed.topo_order(), 64, 1);
+  ASSERT_TRUE(n.has_value());
+  EXPECT_EQ(n->failing_output, "<input name mismatch: q>");
 }
 
 }  // namespace
